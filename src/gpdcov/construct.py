@@ -193,10 +193,9 @@ def covering_from_subgroup(g: FiniteGroupoid, g0: int,
             "subgroup must live in the vertex group of g at g0")
     gamma_arrows = tuple(vg.arrows[k] for k in gamma.elements)
 
-    out_arrows = [a for a in g.arrows if g.dom[a] == g0]
     coset_of = {}
     cosets = []
-    for a in out_arrows:
+    for a in g._out[g0]:
         if a in coset_of:
             continue
         coset = tuple(sorted(g.compose_arrows(a, t) for t in gamma_arrows))
@@ -211,12 +210,7 @@ def covering_from_subgroup(g: FiniteGroupoid, g0: int,
 
     arrows = []  # (source coset, base arrow)
     for ci, coset in enumerate(cosets):
-        rep = coset[0]
-        x = g.cod[rep]
-        for barr in g.arrows:
-            if g.dom[barr] == x:
-                arrows.append((ci, barr))
-    arrows.sort()
+        arrows.extend((ci, barr) for barr in g._out[g.cod[coset[0]]])
     arr_index = {key: i for i, key in enumerate(arrows)}
 
     def target(ci, barr):
@@ -230,13 +224,15 @@ def covering_from_subgroup(g: FiniteGroupoid, g0: int,
     inverse = tuple(
         arr_index[(target(ci, barr), g.inverse[barr])]
         for ci, barr in arrows)
+    # out_of[c]: the ids of the total arrows out of coset c, ascending.
+    out_of = [[] for _ in cosets]
+    for i, (ci, _) in enumerate(arrows):
+        out_of[ci].append(i)
     compose = {}
     for j, (cj, bj) in enumerate(arrows):
-        tj = target(cj, bj)
-        for i, (ci, bi) in enumerate(arrows):
-            if ci != tj:
-                continue
-            compose[(i, j)] = arr_index[(cj, g.compose_arrows(bi, bj))]
+        for i in out_of[target(cj, bj)]:
+            compose[(i, j)] = arr_index[
+                (cj, g.compose_arrows(arrows[i][1], bj))]
     total = FiniteGroupoid(
         len(cosets), dom, cod, identity, compose, inverse,
         obj_labels=tuple("[" + g.arr_labels[c[0]] + "]" for c in cosets),

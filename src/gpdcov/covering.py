@@ -29,18 +29,19 @@ class GroupoidMorphism:
     def __init__(self, source, target, obj_map, arr_map):
         self.source = source
         self.target = target
-        self.obj_map = tuple(int(x) for x in obj_map)
-        self.arr_map = tuple(int(x) for x in arr_map)
+        self.obj_map = tuple(map(int, obj_map))
+        self.arr_map = tuple(map(int, arr_map))
         if len(self.obj_map) != source.n_objects:
             raise ValueError("object map must cover all source objects")
         if len(self.arr_map) != source.n_arrows:
             raise ValueError("arrow map must cover all source arrows")
-        for x in self.obj_map:
-            if not 0 <= x < target.n_objects:
-                raise ValueError(f"object image {x} out of range")
-        for a in self.arr_map:
-            if not 0 <= a < target.n_arrows:
-                raise ValueError(f"arrow image {a} out of range")
+        # Range checks by min/max; the loop runs only to name the offender.
+        for images, bound, what in (
+                (self.obj_map, target.n_objects, "object"),
+                (self.arr_map, target.n_arrows, "arrow")):
+            if images and not (min(images) >= 0 and max(images) < bound):
+                bad = next(v for v in images if not 0 <= v < bound)
+                raise ValueError(f"{what} image {bad} out of range")
 
     def obj(self, x: int) -> int:
         return self.obj_map[x]
@@ -165,22 +166,17 @@ def check_covering(f: GroupoidMorphism):
     if bad:
         raise ValueError("morphism is not functorial: " + "; ".join(bad))
     src, dst = f.source, f.target
-    stars_dst = {}
-    for y in dst.objects:
-        stars_dst[y] = [a for a in dst.arrows if dst.cod[a] == y]
+    stars_dst = dst._into
     witnesses = []
     for x in src.objects:
         y = f.obj_map[x]
         wit = {}
-        for a in src.arrows:
-            if src.cod[a] != x:
-                continue
+        for a in src._into[x]:
             img = f.arr_map[a]
             if img in wit:
                 return CoveringFailure(
                     at_object=x, base_object=y,
-                    total_star_size=sum(1 for b in src.arrows
-                                        if src.cod[b] == x),
+                    total_star_size=len(src._into[x]),
                     base_star_size=len(stars_dst[y]),
                     kind="not-injective",
                     message=(f"star map not injective at object "
@@ -308,9 +304,7 @@ def _propagate_lift(p: Covering, f: GroupoidMorphism, block, root: int,
     while queue:
         y = queue.pop()
         ty = obj_img[y]
-        for a in src.arrows:
-            if src.cod[a] != y:
-                continue
+        for a in src._into[y]:
             lifted = p.lift(f.arr_map[a], ty)
             arr_img[a] = lifted
             x = src.dom[a]
@@ -530,7 +524,7 @@ def _connected_morphisms(src: FiniteGroupoid, block, dst: FiniteGroupoid,
     for y0 in dst.objects:
         vg_dst = vertex_group(dst, y0)
         homs = list(all_homomorphisms(vg_src, vg_dst))
-        star_y0 = [a for a in dst.arrows if dst.cod[a] == y0]
+        star_y0 = dst._into[y0]
         compose = dst.compose
         inv = dst.inverse
         for h in homs:
@@ -565,9 +559,8 @@ def all_morphisms(src: FiniteGroupoid, dst: FiniteGroupoid,
         gens = len(generating_set(vertex_group(src, block[0])))
         per = 0
         for y0 in dst.objects:
-            star = sum(1 for a in dst.arrows if dst.cod[a] == y0)
             per += (vertex_group(dst, y0).order ** gens
-                    ) * max(1, star) ** (len(block) - 1)
+                    ) * max(1, len(dst._into[y0])) ** (len(block) - 1)
         bound *= max(per, 1)
         if bound > cap:
             raise ValueError(f"morphism enumeration bound exceeds {cap}")

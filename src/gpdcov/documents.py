@@ -64,10 +64,14 @@ def parse_groupoid(doc, path: str = "") -> FiniteGroupoid:
     if "group_table" in doc:
         return _parse_group_table(doc, path)
     objects = _need(doc, "objects", path, list)
-    if len(set(objects)) != len(objects):
+    for i, name in enumerate(objects):
+        if isinstance(name, (list, dict)):
+            raise DocumentError(f"{path}/objects/{i}", "object name must be "
+                                "a scalar, not a list or object")
+    obj_index = {str(name): i for i, name in enumerate(objects)}
+    if len(obj_index) != len(objects):
         raise DocumentError(f"{path}/objects", "object names must be "
                             "unique")
-    obj_index = {str(name): i for i, name in enumerate(objects)}
     arrows = _need(doc, "arrows", path, list)
     names, dom, cod = [], [], []
     for i, arr in enumerate(arrows):
@@ -382,14 +386,18 @@ def parse_presheaf(doc, base_dir: str = ".", path: str = "") -> Presheaf:
         if str(name) not in obj_index:
             raise DocumentError(f"{path}/sets",
                                 f"unknown base object {name!r}")
+        if not isinstance(elems, list):
+            raise DocumentError(f"{path}/sets/{name}", "expected list")
         sets[obj_index[str(name)]] = tuple(str(e) for e in elems)
     maps = {}
     for name, table in maps_doc.items():
         if str(name) not in arr_index:
             raise DocumentError(f"{path}/maps",
                                 f"unknown base arrow {name!r}")
+        if not isinstance(table, dict):
+            raise DocumentError(f"{path}/maps/{name}", "expected object")
         maps[arr_index[str(name)]] = {str(k): str(v)
-                                      for k, v in dict(table).items()}
+                                      for k, v in table.items()}
     ps = Presheaf(base, sets, maps)
     try:
         ps.validate()

@@ -11,6 +11,13 @@ groupoid any nonempty sieve on x is already all of star(x), so stars play
 the role of canonical neighborhoods; every lifting construction in this
 package works star-by-star under this codomain convention.
 
+Each groupoid carries a per-object star index, built once at construction
+in O(arrows): ``_into[x]`` and ``_out[x]`` hold the ids of the arrows into
+and out of x, in ascending order.  :func:`star` reads it in O(|star x|),
+``hom(x, y)`` and ``loops`` in O(|star y|), and :func:`validate` costs
+O(arrows + composable pairs + composable triples) rather than a scan over
+all pairs or triples of arrows.
+
 Everything is immutable after construction and all operations are pure.
 """
 
@@ -25,9 +32,9 @@ class FiniteGroupoid:
     """Extensional finite groupoid: object count, arrow endpoint tables,
     identity/inverse tables and a full composition table.
 
-    Construction performs only shape checks; :func:`validate` reports on
-    the category and groupoid laws.  The builders in this module always
-    return law-abiding instances.
+    Construction performs only shape checks and builds the star index;
+    :func:`validate` reports on the category and groupoid laws.  The
+    builders in this module always return law-abiding instances.
     """
 
     def __init__(self, n_objects, dom, cod, identity, compose, inverse,
@@ -55,6 +62,18 @@ class FiniteGroupoid:
             raise ValueError("object label count mismatch")
         if len(self.arr_labels) != len(self.dom):
             raise ValueError("arrow label count mismatch")
+        # The star index.  Out-of-range endpoints are left out of it, so
+        # that validate() can still report them.
+        n = self.n_objects
+        into = [[] for _ in range(n)]
+        out = [[] for _ in range(n)]
+        for a, (x, y) in enumerate(zip(self.dom, self.cod)):
+            if 0 <= x < n:
+                out[x].append(a)
+            if 0 <= y < n:
+                into[y].append(a)
+        self._into = tuple(map(tuple, into))
+        self._out = tuple(map(tuple, out))
 
     @property
     def n_arrows(self) -> int:
@@ -82,14 +101,19 @@ class FiniteGroupoid:
         return self.inverse[a]
 
     def hom(self, x: int, y: int) -> tuple:
-        """Arrows x -> y in ascending id order."""
-        return tuple(a for a in self.arrows
-                     if self.dom[a] == x and self.cod[a] == y)
+        """Arrows x -> y in ascending id order; O(|star y|) from the star
+        index."""
+        if not 0 <= y < self.n_objects:
+            return ()
+        dom = self.dom
+        return tuple(a for a in self._into[y] if dom[a] == x)
 
     def loops(self, x: int) -> tuple:
         return self.hom(x, x)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FiniteGroupoid)
                 and self.n_objects == other.n_objects
                 and self.dom == other.dom
@@ -178,8 +202,10 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
             bad.append(Violation(
                 "identity-endpoints", (x, e),
                 f"identity arrow {e} of object {x} is not a loop at {x}"))
+    extra = []
     for (f, h), v in g.compose.items():
         if g.cod[h] != g.dom[f]:
+            extra.append((f, h))
             bad.append(Violation(
                 "compose-domain", (f, h),
                 f"composition defined on non-composable pair ({f}, {h})"))
@@ -188,13 +214,18 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
                 bad.append(Violation(
                     "compose-endpoints", (f, h, v),
                     f"composite of ({f}, {h}) has wrong endpoints"))
-    for f in range(m):
-        for h in range(m):
-            if (g.cod[h] == g.dom[f]) != ((f, h) in g.compose):
-                bad.append(Violation(
-                    "compose-partiality", (f, h),
-                    f"composition of ({f}, {h}) defined iff composable "
-                    "violated"))
+    # Partiality: the composable pairs are into(x) × out(x) over all x.
+    # With every key composable, equal counts mean every pair is present;
+    # otherwise name the missing and the extra pairs in (f, h) order.
+    composable = sum(len(g._into[x]) * len(g._out[x]) for x in range(n))
+    if extra or len(g.compose) != composable:
+        missing = [(f, h) for f in range(m) for h in g._into[g.dom[f]]
+                   if (f, h) not in g.compose]
+        for f, h in sorted(missing + extra):
+            bad.append(Violation(
+                "compose-partiality", (f, h),
+                f"composition of ({f}, {h}) defined iff composable "
+                "violated"))
     if bad:
         return ValidationReport(tuple(bad))
 
@@ -222,13 +253,12 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
                 bad.append(Violation(
                     "inverse-left", (a, i),
                     f"a⁻¹∘a != id for arrow {a}"))
-    # Associativity over all composable triples (f, h, k): f∘(h∘k) = (f∘h)∘k.
-    for (f, h) in g.compose:
-        fh = g.compose[(f, h)]
-        for k in range(m):
-            if g.cod[k] != g.dom[h]:
-                continue
-            if g.compose[(fh, k)] != g.compose[(f, g.compose[(h, k)])]:
+    # Associativity over all composable triples (f, h, k), with k running
+    # over the star of dom(h): f∘(h∘k) = (f∘h)∘k.
+    compose, into, dom = g.compose, g._into, g.dom
+    for (f, h), fh in compose.items():
+        for k in into[dom[h]]:
+            if compose[(fh, k)] != compose[(f, compose[(h, k)])]:
                 bad.append(Violation(
                     "associativity", (f, h, k),
                     f"associativity fails on triple ({f}, {h}, {k})"))
@@ -236,10 +266,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
 
 
 def star(g: FiniteGroupoid, x: int) -> Star:
-    """The arrows with codomain x, in ascending id order."""
+    """The arrows with codomain x, in ascending id order; O(|star x|)
+    from the star index."""
     if not 0 <= x < g.n_objects:
         raise ValueError(f"unknown object id {x}")
-    return Star(at=x, arrows=tuple(a for a in g.arrows if g.cod[a] == x))
+    return Star(at=x, arrows=g._into[x])
 
 
 def components(g: FiniteGroupoid) -> Partition:

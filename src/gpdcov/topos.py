@@ -232,9 +232,7 @@ def exponential(p: Covering, q: Covering) -> ExponentialCovering:
 
     arrows = []
     for i, (c, _) in enumerate(objects):
-        for g in base.arrows:
-            if base.cod[g] == c:
-                arrows.append((g, i))
+        arrows.extend((g, i) for g in base._into[c])
     arrows.sort()
     apos = {key: k for k, key in enumerate(arrows)}
     dom = tuple(transported(g, i) for g, i in arrows)
@@ -351,10 +349,8 @@ def presheaf_to_covering(ps: Presheaf) -> Covering:
     objects = [(c, v) for c in base.objects for v in ps.sets[c]]
     opos = {key: i for i, key in enumerate(objects)}
     arrows = []
-    for i, (c, v) in enumerate(objects):
-        for g in base.arrows:
-            if base.cod[g] == c:
-                arrows.append((g, i))
+    for i, (c, _) in enumerate(objects):
+        arrows.extend((g, i) for g in base._into[c])
     arrows.sort()
     apos = {key: k for k, key in enumerate(arrows)}
 

@@ -224,3 +224,58 @@ def test_pullback_and_pushout_commands(capsys, tmp_path):
     code, doc = run_json(capsys, "pushout", uni, uni)
     assert code == 0
     assert len(doc["orbit_morphism"]["target"]["objects"]) == 1
+
+
+def run_err(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_validate_rejects_unhashable_object_name(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"objects": [["a"], "b"], "arrows": [],
+                               "compose": []}))
+    code, out, err = run_err(capsys, "validate", bad)
+    assert code == 2 and out == ""
+    assert "/objects/0" in err and "Traceback" not in err
+
+
+def test_validate_rejects_names_equal_as_strings(capsys, tmp_path):
+    # 1 and "1" differ as JSON values but name the same object
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "objects": [1, "1"],
+        "arrows": [{"name": "e", "dom": "1", "cod": "1"}],
+        "compose": [["e", "e", "e"]]}))
+    code, out, err = run_err(capsys, "validate", bad)
+    assert code == 2 and out == ""
+    assert "object names must be unique" in err
+
+
+@pytest.mark.parametrize("field, entry, where", [
+    ("maps", {"e": 5}, "/maps/e"),
+    ("sets", {"*": 7}, "/sets/*"),
+    ("sets", {"*": "ab"}, "/sets/*"),
+    ("maps", {"e": [["a", "a"]]}, "/maps/e"),
+])
+def test_from_presheaf_rejects_wrong_typed_entries(capsys, tmp_path, field,
+                                                   entry, where):
+    doc = {"base": str(FIXTURES / "t1.json"), "sets": {"*": ["a"]},
+           "maps": {"e": {"a": "a"}}}
+    doc[field] = entry
+    bad = tmp_path / "ps.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_err(capsys, "from-presheaf", bad)
+    assert code == 2 and out == ""
+    assert where in err and "Traceback" not in err
+
+
+def test_from_presheaf_accepts_the_well_typed_document(capsys, tmp_path):
+    doc = {"base": str(FIXTURES / "t1.json"), "sets": {"*": ["a"]},
+           "maps": {"e": {"a": "a"}}}
+    ok = tmp_path / "ps.json"
+    ok.write_text(json.dumps(doc))
+    code, out, err = run_err(capsys, "from-presheaf", ok)
+    assert code == 0 and err == ""
+    assert json.loads(out)["source"]["objects"] == ["*·a"]
