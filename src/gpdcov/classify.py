@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 from .errors import TheoremViolation
 from .covering import (Covering, GroupoidMorphism, check_covering,
-                       components, compose_morphisms, equivalent_coverings,
-                       fold, lift_morphism)
+                       components, compose_morphisms, covering_of_lifts,
+                       equivalent_coverings, factor_through, fold,
+                       lift_morphism)
 from .construct import OrbitGroupoid, orbit_groupoid, universal_cover
 from .groupoid import (FiniteGroupoid, component_subgroupoid, is_connected,
                        vertex_group)
@@ -49,39 +50,30 @@ def pullback_covering(p: Covering, f: GroupoidMorphism) -> PullbackCovering:
         raise ValueError("morphism must land in the covering's base")
     h = f.source
     t = p.total
-    obj_pairs = tuple((x, y) for x in h.objects for y in t.objects
-                      if f.obj_map[x] == p.morphism.obj_map[y])
-    arr_pairs = tuple((a, b) for a in h.arrows for b in t.arrows
-                      if f.arr_map[a] == p.morphism.arr_map[b])
+    # bucket the total's objects and arrows by their image in the base
+    objs_over = [[] for _ in p.base.objects]
+    for y, b in enumerate(p.morphism.obj_map):
+        objs_over[b].append(y)
+    arrs_over = [[] for _ in p.base.arrows]
+    for b, g in enumerate(p.morphism.arr_map):
+        arrs_over[g].append(b)
+    obj_pairs = tuple((x, y) for x in h.objects
+                      for y in objs_over[f.obj_map[x]])
+    arr_pairs = tuple((a, b) for a in h.arrows
+                      for b in arrs_over[f.arr_map[a]])
     opos = {pair: i for i, pair in enumerate(obj_pairs)}
-    apos = {pair: i for i, pair in enumerate(arr_pairs)}
-    dom = tuple(opos[(h.dom[a], t.dom[b])] for a, b in arr_pairs)
-    cod = tuple(opos[(h.cod[a], t.cod[b])] for a, b in arr_pairs)
-    identity = tuple(apos[(h.identity[x], t.identity[y])]
-                     for x, y in obj_pairs)
-    inverse = tuple(apos[(h.inverse[a], t.inverse[b])] for a, b in arr_pairs)
-    compose = {}
-    for i, (a1, b1) in enumerate(arr_pairs):
-        for j, (a2, b2) in enumerate(arr_pairs):
-            if h.cod[a2] == h.dom[a1] and t.cod[b2] == t.dom[b1]:
-                compose[(i, j)] = apos[(h.compose_arrows(a1, a2),
-                                        t.compose_arrows(b1, b2))]
-    gpd = FiniteGroupoid(
-        len(obj_pairs), dom, cod, identity, compose, inverse,
-        obj_labels=tuple(f"({h.obj_labels[x]},{t.obj_labels[y]})"
-                         for x, y in obj_pairs),
-        arr_labels=tuple(f"({h.arr_labels[a]},{t.arr_labels[b]})"
-                         for a, b in arr_pairs))
-    proj1 = GroupoidMorphism(gpd, h,
-                             tuple(x for x, _ in obj_pairs),
-                             tuple(a for a, _ in arr_pairs))
-    proj2 = GroupoidMorphism(gpd, t,
+    cov = covering_of_lifts(
+        h, tuple(x for x, _ in obj_pairs),
+        [(a, opos[(h.dom[a], t.dom[b])], opos[(h.cod[a], t.cod[b])])
+         for a, b in arr_pairs],
+        tuple(f"({h.obj_labels[x]},{t.obj_labels[y]})"
+              for x, y in obj_pairs),
+        tuple(f"({h.arr_labels[a]},{t.arr_labels[b]})"
+              for a, b in arr_pairs),
+        "pullback projection")
+    proj2 = GroupoidMorphism(cov.total, t,
                              tuple(y for _, y in obj_pairs),
                              tuple(b for _, b in arr_pairs))
-    cov = check_covering(proj1)
-    if not isinstance(cov, Covering):
-        raise TheoremViolation(
-            f"pullback projection failed the covering check: {cov.message}")
     return PullbackCovering(covering=cov, to_total=proj2,
                             obj_pairs=obj_pairs, arr_pairs=arr_pairs)
 
@@ -127,25 +119,7 @@ class PushoutResult:
 def _induced_on_quotient(src_cov: Covering, dst_cov: Covering):
     """The morphism total(src_cov) -> total(dst_cov) sending each orbit to
     the orbit containing it, for two orbit morphisms from one groupoid."""
-    src = src_cov.morphism
-    dst = dst_cov.morphism
-    obj_map = [None] * src.target.n_objects
-    for x in src.source.objects:
-        v = dst.obj_map[x]
-        o = src.obj_map[x]
-        if obj_map[o] is None:
-            obj_map[o] = v
-        elif obj_map[o] != v:
-            raise ValueError("first quotient is not finer than the second")
-    arr_map = [None] * src.target.n_arrows
-    for a in src.source.arrows:
-        v = dst.arr_map[a]
-        o = src.arr_map[a]
-        if arr_map[o] is None:
-            arr_map[o] = v
-        elif arr_map[o] != v:
-            raise ValueError("first quotient is not finer than the second")
-    m = GroupoidMorphism(src.target, dst.target, obj_map, arr_map)
+    m = factor_through(src_cov.morphism, dst_cov.morphism)
     bad = m.functoriality_violations()
     if bad:
         raise TheoremViolation(f"induced quotient map not functorial: "
@@ -270,26 +244,12 @@ def _quotient_to_base(universal: Covering, orb: OrbitGroupoid) -> Covering:
     """The covering quotient -> base induced by the universal projection
     (constant on orbits of covering transformations)."""
     proj = orb.projection
-    base = universal.base
-    obj_map = [None] * orb.quotient.n_objects
-    for x in universal.total.objects:
-        o = proj.obj_map[x]
-        v = universal.morphism.obj_map[x]
-        if obj_map[o] is None:
-            obj_map[o] = v
-        elif obj_map[o] != v:
-            raise TheoremViolation(
-                "universal projection is not constant on orbits")
-    arr_map = [None] * orb.quotient.n_arrows
-    for a in universal.total.arrows:
-        o = proj.arr_map[a]
-        v = universal.morphism.arr_map[a]
-        if arr_map[o] is None:
-            arr_map[o] = v
-        elif arr_map[o] != v:
-            raise TheoremViolation(
-                "universal projection is not constant on arrow orbits")
-    m = GroupoidMorphism(orb.quotient, base, obj_map, arr_map)
+    try:
+        m = factor_through(proj, universal.morphism)
+    except ValueError as exc:
+        raise TheoremViolation(
+            f"universal projection does not factor through the orbit "
+            f"quotient: {exc}") from None
     cov = check_covering(m)
     if not isinstance(cov, Covering):
         raise TheoremViolation(

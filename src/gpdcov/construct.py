@@ -4,8 +4,10 @@ The existence construction realizes a prescribed subgroup Γ of a vertex
 group π(G, G0) as the pushforward loop group of a covering.  Total objects
 are the cosets ``aΓ = {a∘γ}`` of arrows a leaving G0; there is one arrow
 ``(aΓ -> bΓ, g)`` for every base arrow g with g∘a ∈ bΓ, projecting to g.
-Its covering property and its pushforward are re-verified by the machinery
-in :mod:`gpdcov.covering` — never assumed.
+Those arrows are the lifts handed to
+:func:`gpdcov.covering.covering_of_lifts`, which derives identities,
+inverses and composition by unique lifting and re-verifies the covering
+property; the pushforward is re-verified too — never assumed.
 
 Orbit groupoids quotient a groupoid by a free group action: objects and
 arrows become orbits, and composition aligns representatives through the
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import NonFreeActionError, TheoremViolation
 from .covering import (Covering, GroupoidMorphism, check_covering,
-                       compose_morphisms)
+                       compose_morphisms, covering_of_lifts, factor_through)
 from .groupoid import FiniteGroupoid, is_connected, vertex_group
 from .groups import FiniteGroup, Subgroup
 from .transform import CovGroup, covering_transformations, is_regular
@@ -147,13 +149,14 @@ def orbit_groupoid(action: GroupAction) -> OrbitGroupoid:
     cod = tuple(obj_index[sp.cod[blk[0]]] for blk in arr_blocks)
     identity = tuple(arr_index[sp.identity[blk[0]]] for blk in obj_blocks)
     inverse = tuple(arr_index[sp.inverse[blk[0]]] for blk in arr_blocks)
+    into = [[] for _ in obj_blocks]  # arrow orbits by codomain orbit
+    for j, c in enumerate(cod):
+        into[c].append(j)
     compose = {}
     for i, iblk in enumerate(arr_blocks):
         a = iblk[0]
-        for j, jblk in enumerate(arr_blocks):
-            b = jblk[0]
-            if dom[i] != cod[j]:
-                continue
+        for j in into[dom[i]]:
+            b = arr_blocks[j][0]
             k = aligner.get((sp.dom[a], sp.cod[b]))
             if k is None:
                 raise TheoremViolation(
@@ -193,6 +196,8 @@ def covering_from_subgroup(g: FiniteGroupoid, g0: int,
             "subgroup must live in the vertex group of g at g0")
     gamma_arrows = tuple(vg.arrows[k] for k in gamma.elements)
 
+    # _out[g0] is ascending, so each coset is met first at its least
+    # member: the objects come out ordered by least member arrow.
     coset_of = {}
     cosets = []
     for a in g._out[g0]:
@@ -202,50 +207,20 @@ def covering_from_subgroup(g: FiniteGroupoid, g0: int,
         for b in coset:
             coset_of[b] = len(cosets)
         cosets.append(coset)
-    # canonical object order: by least member arrow
-    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    rank = {old: new for new, old in enumerate(order)}
-    cosets = [cosets[i] for i in order]
-    coset_of = {a: rank[i] for a, i in coset_of.items()}
-
-    arrows = []  # (source coset, base arrow)
-    for ci, coset in enumerate(cosets):
-        arrows.extend((ci, barr) for barr in g._out[g.cod[coset[0]]])
-    arr_index = {key: i for i, key in enumerate(arrows)}
 
     def target(ci, barr):
         return coset_of[g.compose_arrows(barr, cosets[ci][0])]
 
-    dom = tuple(ci for ci, _ in arrows)
-    cod = tuple(target(ci, barr) for ci, barr in arrows)
-    identity = tuple(
-        arr_index[(ci, g.identity[g.cod[cosets[ci][0]]])]
-        for ci in range(len(cosets)))
-    inverse = tuple(
-        arr_index[(target(ci, barr), g.inverse[barr])]
-        for ci, barr in arrows)
-    # out_of[c]: the ids of the total arrows out of coset c, ascending.
-    out_of = [[] for _ in cosets]
-    for i, (ci, _) in enumerate(arrows):
-        out_of[ci].append(i)
-    compose = {}
-    for j, (cj, bj) in enumerate(arrows):
-        for i in out_of[target(cj, bj)]:
-            compose[(i, j)] = arr_index[
-                (cj, g.compose_arrows(arrows[i][1], bj))]
-    total = FiniteGroupoid(
-        len(cosets), dom, cod, identity, compose, inverse,
-        obj_labels=tuple("[" + g.arr_labels[c[0]] + "]" for c in cosets),
-        arr_labels=tuple(f"[{g.arr_labels[cosets[ci][0]]}]·"
-                         f"{g.arr_labels[barr]}" for ci, barr in arrows))
-    proj = GroupoidMorphism(
-        total, g,
-        tuple(g.cod[c[0]] for c in cosets),
-        tuple(barr for _, barr in arrows))
-    cov = check_covering(proj)
-    if not isinstance(cov, Covering):
-        raise TheoremViolation(
-            f"coset construction failed the covering check: {cov.message}")
+    # one arrow per (source coset, base arrow out of its base object)
+    arrows = [(barr, ci, target(ci, barr))
+              for ci, coset in enumerate(cosets)
+              for barr in g._out[g.cod[coset[0]]]]
+    cov = covering_of_lifts(
+        g, tuple(g.cod[c[0]] for c in cosets), arrows,
+        tuple("[" + g.arr_labels[c[0]] + "]" for c in cosets),
+        tuple(f"[{g.arr_labels[cosets[ci][0]]}]·{g.arr_labels[barr]}"
+              for barr, ci, _ in arrows),
+        "coset construction")
     cov.marked_object = coset_of[g.identity[g0]]
     return cov
 
@@ -274,29 +249,12 @@ def quotient_comparison(p: Covering) -> QuotientComparison:
         raise ValueError("quotient comparison requires a regular covering")
     cov = covering_transformations(p)
     orb = orbit_groupoid(cov.as_action())
-    quotient = orb.quotient
-    obj_map = [None] * p.base.n_objects
-    for x in p.total.objects:
-        b = p.morphism.obj_map[x]
-        v = orb.projection.obj_map[x]
-        if obj_map[b] is None:
-            obj_map[b] = v
-        elif obj_map[b] != v:
-            raise TheoremViolation(
-                "covering transformations are not transitive on a fiber "
-                "of a regular covering")
-    arr_map = [None] * p.base.n_arrows
-    for a in p.total.arrows:
-        b = p.morphism.arr_map[a]
-        v = orb.projection.arr_map[a]
-        if arr_map[b] is None:
-            arr_map[b] = v
-        elif arr_map[b] != v:
-            raise TheoremViolation(
-                "orbit morphism is not constant over base arrows")
-    if any(v is None for v in obj_map) or any(v is None for v in arr_map):
-        raise TheoremViolation("covering is not surjective onto its base")
-    iso = GroupoidMorphism(p.base, quotient, obj_map, arr_map)
+    try:
+        iso = factor_through(p.morphism, orb.projection)
+    except ValueError as exc:
+        raise TheoremViolation(
+            f"the orbit morphism does not factor through a regular "
+            f"covering: {exc}") from None
     if not (iso.is_bijective() and iso.is_functorial()):
         raise TheoremViolation(
             "base does not match the quotient by covering transformations")

@@ -113,6 +113,45 @@ def compose_morphisms(outer: GroupoidMorphism,
         tuple(outer.arr_map[a] for a in inner.arr_map))
 
 
+def glue_morphism(source: FiniteGroupoid, target: FiniteGroupoid,
+                  pieces) -> GroupoidMorphism:
+    """The morphism source -> target assembled from (obj_img, arr_img)
+    dict pairs, typically one per connected component of the source."""
+    maps = ([0] * source.n_objects, [0] * source.n_arrows)
+    for piece in pieces:
+        for table, images in zip(maps, piece):
+            for i, v in images.items():
+                table[i] = v
+    return GroupoidMorphism(source, target, *maps)
+
+
+def factor_through(q: GroupoidMorphism,
+                   f: GroupoidMorphism) -> GroupoidMorphism:
+    """The morphism m with m∘q = f, for q and f out of one groupoid.
+
+    f must be constant on every fiber of q, and q must hit every object
+    and arrow of its target; otherwise the ValueError names the fiber or
+    the missed id.  Functoriality of m is left to the caller.
+    """
+    if q.source != f.source:
+        raise ValueError("morphisms must share their source")
+    maps = []
+    for what, q_map, f_map, n in (
+            ("object", q.obj_map, f.obj_map, q.target.n_objects),
+            ("arrow", q.arr_map, f.arr_map, q.target.n_arrows)):
+        m = [None] * n
+        for o, v in zip(q_map, f_map):
+            if m[o] is None:
+                m[o] = v
+            elif m[o] != v:
+                raise ValueError(f"the fiber over {what} {o} maps to both "
+                                 f"{m[o]} and {v}")
+        if None in m:
+            raise ValueError(f"{what} {m.index(None)} is not hit")
+        maps.append(m)
+    return GroupoidMorphism(q.target, f.target, *maps)
+
+
 @dataclass(frozen=True)
 class CoveringFailure:
     """Where and how the star-bijection test failed."""
@@ -206,6 +245,44 @@ def require_covering(f: GroupoidMorphism) -> Covering:
     if isinstance(out, CoveringFailure):
         raise ValueError(out.message)
     return out
+
+
+def covering_of_lifts(base: FiniteGroupoid, over, arrows, obj_labels,
+                      arr_labels, what: str) -> Covering:
+    """The covering total -> base given by its lifts, verified.
+
+    ``over[i]`` is the base object under total object i, and
+    ``arrows[k] = (g, d, c)`` makes total arrow k a lift of the base arrow
+    g from total object d to total object c.  Unique lifting determines
+    the rest (Brown, *Topology and Groupoids*, ch. 10): the identity of c
+    is the lift of id(over c) into c, the inverse of k is the lift of g⁻¹
+    into d, and j∘k is the lift of g_j∘g into cod(j).  Composition walks
+    the arrows out of each codomain, so it costs O(compose).  A lift
+    table that fails :func:`check_covering` raises
+    :class:`TheoremViolation` naming ``what``.
+    """
+    lift = {(g, c): k for k, (g, _, c) in enumerate(arrows)}
+    dom = tuple(d for _, d, _ in arrows)
+    out_of = [[] for _ in over]
+    for k, d in enumerate(dom):
+        out_of[d].append(k)
+    compose = {}
+    for k, (g, _, c) in enumerate(arrows):
+        for j in out_of[c]:
+            gj, _, e = arrows[j]
+            compose[(j, k)] = lift[(base.compose[(gj, g)], e)]
+    total = FiniteGroupoid(
+        len(over), dom, tuple(c for _, _, c in arrows),
+        tuple(lift[(base.identity[x], i)] for i, x in enumerate(over)),
+        compose,
+        tuple(lift[(base.inverse[g], d)] for g, d, _ in arrows),
+        obj_labels=obj_labels, arr_labels=arr_labels)
+    cov = check_covering(GroupoidMorphism(
+        total, base, over, tuple(g for g, _, _ in arrows)))
+    if not isinstance(cov, Covering):
+        raise TheoremViolation(
+            f"{what} failed the covering check: {cov.message}")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -476,17 +553,8 @@ def covering_morphisms(p: Covering, q: Covering, cap: int = 100000):
         count *= len(pieces)
         if count > cap:
             raise ValueError(f"morphism enumeration exceeds cap {cap}")
-    out = []
-    for combo in itertools.product(*per_block):
-        obj_map = [0] * p.total.n_objects
-        arr_map = [0] * p.total.n_arrows
-        for obj_img, arr_img in combo:
-            for x, v in obj_img.items():
-                obj_map[x] = v
-            for a, v in arr_img.items():
-                arr_map[a] = v
-        out.append(GroupoidMorphism(p.total, q.total, obj_map, arr_map))
-    return out
+    return [glue_morphism(p.total, q.total, combo)
+            for combo in itertools.product(*per_block)]
 
 
 def _connected_morphisms(src: FiniteGroupoid, block, dst: FiniteGroupoid,
@@ -567,15 +635,7 @@ def all_morphisms(src: FiniteGroupoid, dst: FiniteGroupoid,
     gens = [list(_connected_morphisms(src, block, dst, iso_objects=False))
             for block in parts.blocks]
     for combo in itertools.product(*gens):
-        obj_map = [0] * src.n_objects
-        arr_map = [0] * src.n_arrows
-        for obj_img, arr_img in combo:
-            for x, v in obj_img.items():
-                obj_map[x] = v
-            for a, v in arr_img.items():
-                arr_map[a] = v
-        m = GroupoidMorphism(src, dst, obj_map, arr_map)
-        yield m
+        yield glue_morphism(src, dst, combo)
 
 
 def groupoid_isomorphisms(src: FiniteGroupoid, dst: FiniteGroupoid):
@@ -587,19 +647,9 @@ def groupoid_isomorphisms(src: FiniteGroupoid, dst: FiniteGroupoid):
     if len(src_parts) != len(dst_parts):
         return
 
-    def assemble(block_choices):
-        obj_map = [0] * src.n_objects
-        arr_map = [0] * src.n_arrows
-        for obj_img, arr_img in block_choices:
-            for x, v in obj_img.items():
-                obj_map[x] = v
-            for a, v in arr_img.items():
-                arr_map[a] = v
-        return GroupoidMorphism(src, dst, obj_map, arr_map)
-
     def backtrack(i, used, acc):
         if i == len(src_parts.blocks):
-            m = assemble(acc)
+            m = glue_morphism(src, dst, acc)
             if m.is_bijective() and m.is_functorial():
                 yield m
             return
@@ -724,14 +774,7 @@ def find_covering_isomorphism(p: Covering, q: Covering):
     combo = backtrack(0, frozenset(), [])
     if combo is None:
         return None
-    obj_map = [0] * p.total.n_objects
-    arr_map = [0] * p.total.n_arrows
-    for obj_img, arr_img in combo:
-        for x, v in obj_img.items():
-            obj_map[x] = v
-        for a, v in arr_img.items():
-            arr_map[a] = v
-    phi = GroupoidMorphism(p.total, q.total, obj_map, arr_map)
+    phi = glue_morphism(p.total, q.total, combo)
     if not (phi.is_bijective() and phi.is_functorial()):
         return None
     if compose_morphisms(q.morphism, phi) != p.morphism:

@@ -20,8 +20,9 @@ from .covering import (Covering, GroupoidMorphism, all_morphisms,
                        covering_morphisms, equivalent_coverings, fiber,
                        find_covering_isomorphism, fold, lift_morphism,
                        monodromy, pushforward_vertex, require_covering)
-from .classify import (build_lattice, classify_covering, fibered_product,
-                       meet_covering, pullback_covering, pushout_covering)
+from .classify import (_quotient_to_base, build_lattice, classify_covering,
+                       fibered_product, meet_covering, pullback_covering,
+                       pushout_covering)
 from .construct import (covering_from_subgroup, orbit_groupoid,
                         quotient_comparison, universal_cover)
 from .groupoid import (codiscrete_groupoid, disjoint_union, group_groupoid,
@@ -226,7 +227,7 @@ def check_orbit_round_trip():
     for sub in vg.subgroups():
         pi = grp.group.subgroup(ni.mapping[k] for k in sub.elements)
         orb = orbit_groupoid(grp.action_of_subgroup(pi))
-        quot = _orbit_to_base(u, orb)
+        quot = _quotient_to_base(u, orb)
         coset = covering_from_subgroup(c4, 0, sub)
         if equivalent_coverings(coset, quot) is None:
             return False, (f"orbit quotient by {pi.elements} is not the "
@@ -234,11 +235,6 @@ def check_orbit_round_trip():
         matched += 1
     return True, (f"{regular_count} regular covers round-tripped, "
                   f"{matched} orbit quotients matched coset covers")
-
-
-def _orbit_to_base(universal, orb):
-    from .classify import _quotient_to_base
-    return _quotient_to_base(universal, orb)
 
 
 def check_main_lattice():

@@ -9,6 +9,13 @@ exactly the unions of its connected components (a Boolean algebra), and
 the exponential of two coverings has, over each object, the set of all
 maps between the fiber-object sets, with loops acting by
 (α·g)(x) = α(x·g⁻¹)·g.
+
+The coverings built here (the classifier, the exponential and the
+covering of elements of a presheaf) are given by their lifts: the fiber
+objects, and for each base arrow g and total object c over cod g the
+domain of the lift of g into c.  From these,
+:func:`gpdcov.covering.covering_of_lifts` derives identities, inverses
+and composition by unique lifting.
 """
 
 from __future__ import annotations
@@ -19,9 +26,8 @@ from dataclasses import dataclass
 from .errors import TheoremViolation
 from .covering import (Covering, GroupoidMorphism, check_covering,
                        components, compose_morphisms, covering_morphisms,
-                       fiber, fiber_transport, monodromy)
-from .groupoid import (FiniteGroupoid, component_subgroupoid, disjoint_union,
-                       relabeled)
+                       covering_of_lifts, fiber, fiber_transport, monodromy)
+from .groupoid import FiniteGroupoid, component_subgroupoid
 
 
 @dataclass(frozen=True)
@@ -36,22 +42,15 @@ class Omega:
 
 
 def omega(g: FiniteGroupoid) -> Omega:
-    two = disjoint_union(g, g)
-    two = relabeled(
-        two,
-        obj_labels=tuple(lbl + ":t" for lbl in g.obj_labels)
-        + tuple(lbl + ":f" for lbl in g.obj_labels),
-        arr_labels=tuple(lbl + ":t" for lbl in g.arr_labels)
-        + tuple(lbl + ":f" for lbl in g.arr_labels))
-    proj = GroupoidMorphism(
-        two, g,
-        tuple(g.objects) + tuple(g.objects),
-        tuple(g.arrows) + tuple(g.arrows))
-    cov = check_covering(proj)
-    if not isinstance(cov, Covering):
-        raise TheoremViolation(f"classifier is not a covering: "
-                               f"{cov.message}")
     no, na = g.n_objects, g.n_arrows
+    # the true copy keeps the ids of g; the false copy shifts them
+    cov = covering_of_lifts(
+        g, tuple(g.objects) * 2,
+        [(a, g.dom[a] + s, g.cod[a] + s) for s in (0, no) for a in g.arrows],
+        tuple(lbl + t for t in (":t", ":f") for lbl in g.obj_labels),
+        tuple(lbl + t for t in (":t", ":f") for lbl in g.arr_labels),
+        "classifier")
+    two = cov.total
     true = GroupoidMorphism(g, two, tuple(g.objects), tuple(g.arrows))
     false = GroupoidMorphism(g, two,
                              tuple(x + no for x in g.objects),
@@ -201,6 +200,18 @@ class ExponentialCovering:
         return self.objects[obj][0]
 
 
+def _arrows_into(base: FiniteGroupoid, objects, pull):
+    """The arrows of a covering of elements, for :func:`covering_of_lifts`:
+    one (g, pull(g, i), i) per base arrow g and total object i = (c, ...)
+    over cod g, ordered by (g, i).  ``pull(g, i)`` is the domain of the
+    lift of g into i."""
+    over_cod = [[] for _ in base.objects]
+    for i, (c, _) in enumerate(objects):
+        over_cod[c].append(i)
+    return [(g, pull(g, i), i)
+            for g in base.arrows for i in over_cod[base.cod[g]]]
+
+
 def exponential(p: Covering, q: Covering) -> ExponentialCovering:
     """The covering whose fiber over each base object is the full set of
     maps Ob(fiber of q) -> Ob(fiber of p), with arrows transporting maps
@@ -217,54 +228,30 @@ def exponential(p: Covering, q: Covering) -> ExponentialCovering:
             objects.append((c, assignment))
     index = {key: i for i, key in enumerate(objects)}
 
-    p_transport = {g: fiber_transport(p, g).obj_map for g in base.arrows}
-    q_transport = {g: fiber_transport(q, g).obj_map for g in base.arrows}
-
     def transported(g: int, cod_obj: int) -> int:
-        """Domain object of the unique arrow over g into cod_obj."""
+        """Domain object of the unique arrow over g into cod_obj; a fiber
+        object is transported along g to the domain of its lift."""
         c, assignment = objects[cod_obj]
         d = base.dom[g]
         amap = dict(zip(q_fibers[c], assignment))
+        g_inv = base.inverse[g]
         new_assignment = tuple(
-            p_transport[g][amap[q_transport[base.inverse[g]][y]]]
+            p.total.dom[p.lift(g, amap[q.total.dom[q.lift(g_inv, y)]])]
             for y in q_fibers[d])
         return index[(d, new_assignment)]
 
-    arrows = []
-    for i, (c, _) in enumerate(objects):
-        arrows.extend((g, i) for g in base._into[c])
-    arrows.sort()
-    apos = {key: k for k, key in enumerate(arrows)}
-    dom = tuple(transported(g, i) for g, i in arrows)
-    cod = tuple(i for _, i in arrows)
-    identity = tuple(apos[(base.identity[c], i)]
-                     for i, (c, _) in enumerate(objects))
-    inverse = tuple(apos[(base.inverse[g], dom[k])]
-                    for k, (g, _) in enumerate(arrows))
-    compose = {}
-    for k1, (g1, i1) in enumerate(arrows):
-        for k2, (g2, i2) in enumerate(arrows):
-            if i2 == dom[k1]:
-                compose[(k1, k2)] = apos[(base.compose_arrows(g1, g2), i1)]
-    gpd = FiniteGroupoid(
-        len(objects), dom, cod, identity, compose, inverse,
-        obj_labels=tuple(
-            base.obj_labels[c] + "|" + ",".join(
-                p.total.obj_labels[v] for v in assignment)
+    arrows = _arrows_into(base, objects, transported)
+    cov = covering_of_lifts(
+        base, tuple(c for c, _ in objects), arrows,
+        tuple(base.obj_labels[c] + "|" + ",".join(
+            p.total.obj_labels[v] for v in assignment)
             for c, assignment in objects),
-        arr_labels=tuple(f"{base.arr_labels[g]}@{i}" for g, i in arrows))
-    proj = GroupoidMorphism(
-        gpd, base,
-        tuple(c for c, _ in objects),
-        tuple(g for g, _ in arrows))
-    cov = check_covering(proj)
-    if not isinstance(cov, Covering):
-        raise TheoremViolation(
-            f"exponential projection failed the covering check: "
-            f"{cov.message}")
+        tuple(f"{base.arr_labels[g]}@{i}" for g, _, i in arrows),
+        "exponential projection")
     return ExponentialCovering(covering=cov, first=p, second=q,
                                objects=tuple(objects),
-                               arrows=tuple(arrows), _index=index)
+                               arrows=tuple((g, i) for g, _, i in arrows),
+                               _index=index)
 
 
 def group_action_on_exponential(expo: ExponentialCovering, g: int,
@@ -348,42 +335,14 @@ def presheaf_to_covering(ps: Presheaf) -> Covering:
     base = ps.base
     objects = [(c, v) for c in base.objects for v in ps.sets[c]]
     opos = {key: i for i, key in enumerate(objects)}
-    arrows = []
-    for i, (c, _) in enumerate(objects):
-        arrows.extend((g, i) for g in base._into[c])
-    arrows.sort()
-    apos = {key: k for k, key in enumerate(arrows)}
-
-    def dom_obj(g, i):
-        c, v = objects[i]
-        return opos[(base.dom[g], ps.maps[g][v])]
-
-    dom = tuple(dom_obj(g, i) for g, i in arrows)
-    cod = tuple(i for _, i in arrows)
-    identity = tuple(apos[(base.identity[c], i)]
-                     for i, (c, _) in enumerate(objects))
-    inverse = tuple(apos[(base.inverse[g], dom[k])]
-                    for k, (g, _) in enumerate(arrows))
-    compose = {}
-    for k1, (g1, i1) in enumerate(arrows):
-        for k2, (g2, i2) in enumerate(arrows):
-            if i2 == dom[k1]:
-                compose[(k1, k2)] = apos[(base.compose_arrows(g1, g2), i1)]
-    gpd = FiniteGroupoid(
-        len(objects), dom, cod, identity, compose, inverse,
-        obj_labels=tuple(f"{base.obj_labels[c]}·{v}" for c, v in objects),
-        arr_labels=tuple(f"{base.arr_labels[g]}·{objects[i][1]}"
-                         for g, i in arrows))
-    proj = GroupoidMorphism(
-        gpd, base,
-        tuple(c for c, _ in objects),
-        tuple(g for g, _ in arrows))
-    cov = check_covering(proj)
-    if not isinstance(cov, Covering):
-        raise TheoremViolation(
-            f"covering of elements failed the covering check: "
-            f"{cov.message}")
-    return cov
+    arrows = _arrows_into(
+        base, objects,
+        lambda g, i: opos[(base.dom[g], ps.maps[g][objects[i][1]])])
+    return covering_of_lifts(
+        base, tuple(c for c, _ in objects), arrows,
+        tuple(f"{base.obj_labels[c]}·{v}" for c, v in objects),
+        tuple(f"{base.arr_labels[g]}·{objects[i][1]}" for g, _, i in arrows),
+        "covering of elements")
 
 
 @dataclass(frozen=True)

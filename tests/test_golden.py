@@ -4,7 +4,12 @@ Each case runs one subcommand on one fixture and compares stdout, byte for
 byte, and the exit code with the files under ``tests/golden/``.  The
 ``cov-group`` and ``regular`` cases also run on the universal cover of each
 groupoid fixture, read from the golden ``universal`` output so that every
-case depends only on recorded bytes.
+case depends only on recorded bytes.  The same mechanism chains the
+covering constructions: ``build-cover`` outputs feed ``expo``,
+``pullback`` (along the morphism documents ``square-c4.json`` and
+``c2-into-s3.json`` kept beside the golden files, and the ``id_c4``
+fixture), ``adjunction`` and ``to-presheaf``, whose outputs in turn feed
+``from-presheaf``.
 
 To record the golden files from the current sources (only when a change of
 output is intended), run from the repository root:
@@ -49,7 +54,48 @@ def _cases():
         for cmd in ("cov-group", "regular"):
             cases[f"{cmd}-universal-{name}"] = [
                 cmd, f"{FROM_GOLDEN}universal-{name}"]
+    cases.update(_construction_cases())
     return cases
+
+
+def _construction_cases():
+    """Case name -> argv for the covering constructions, in dependency
+    order: a case reads only the outputs of cases listed before it."""
+    g = FROM_GOLDEN
+    cases = {
+        "build-cover-s3-12": ["build-cover", str(FIXTURES / "s3.json"),
+                              "--subgroup", "(12)"],
+        "build-cover-c4-2": ["build-cover", str(FIXTURES / "c4.json"),
+                             "--subgroup", "2"],
+    }
+    for first, second in (("c4-2", "c4-2"), ("universal-c4", "c4-2"),
+                          ("c4-2", "universal-c4"), ("s3-12", "s3-12"),
+                          ("c4-2", "s3-12")):
+        docs = [f"{g}{_cover_case(c)}" for c in (first, second)]
+        cases[f"expo-{first}-{second}"] = ["expo"] + docs
+    for cover in ("c4-2", "s3-12", "universal-c4", "universal-i2"):
+        cases[f"to-presheaf-{cover}"] = [
+            "to-presheaf", f"{g}{_cover_case(cover)}"]
+        cases[f"from-presheaf-{cover}"] = [
+            "from-presheaf", f"{g}to-presheaf-{cover}"]
+    for cover, along in (("c4-2", GOLDEN / "square-c4.json"),
+                         ("universal-c4", GOLDEN / "square-c4.json"),
+                         ("c4-2", FIXTURES / "id_c4.json"),
+                         ("s3-12", GOLDEN / "c2-into-s3.json"),
+                         ("universal-s3", GOLDEN / "c2-into-s3.json")):
+        cases[f"pullback-{cover}-{along.stem}"] = [
+            "pullback", f"{g}{_cover_case(cover)}", "--along", str(along)]
+    for name, covers in (("c4", ("universal-c4", "c4-2", "c4-2")),
+                         ("c4-none", ("c4-2", "c4-2", "universal-c4")),
+                         ("s3", ("s3-12", "s3-12", "s3-12"))):
+        cases[f"adjunction-{name}"] = ["adjunction"] + [
+            f"{g}{_cover_case(c)}" for c in covers]
+    return cases
+
+
+def _cover_case(cover: str) -> str:
+    """The golden case whose output is the named covering."""
+    return cover if cover.startswith("universal-") else f"build-cover-{cover}"
 
 
 def _run(argv, directory: Path):

@@ -1,0 +1,439 @@
+"""The lift-built coverings against the hand-built ones.
+
+``covering_from_subgroup``, ``exponential``, ``presheaf_to_covering``,
+``pullback_covering`` and ``omega`` build their totals through
+``covering_of_lifts``.
+The constructions they replaced, which build identity, inverse and
+composition tables by hand, are kept verbatim below as ``reference_*``.
+On the generated groupoids of ``test_index.py`` and on coverings of them,
+both must give the same ids, tables and labels.
+"""
+
+import itertools
+
+import pytest
+
+from gpdcov import (Covering, FiniteGroup, FiniteGroupoid, GroupoidMorphism,
+                    TheoremViolation, all_morphisms, check_covering,
+                    covering_from_subgroup, covering_to_presheaf,
+                    disjoint_union, exponential, fiber, fiber_transport,
+                    group_groupoid, is_connected, omega,
+                    pullback_covering, require_covering, universal_cover,
+                    vertex_group)
+from gpdcov.classify import PullbackCovering
+from gpdcov.covering import covering_of_lifts, factor_through
+from gpdcov.groupoid import relabeled
+from gpdcov.topos import ExponentialCovering, Omega, presheaf_to_covering
+
+from test_index import CORPUS
+
+
+# -- the hand-built constructions, verbatim ----------------------------------
+
+def reference_covering_from_subgroup(g, g0, gamma):
+    """A covering of the connected groupoid g whose pushforward loop group
+    at the marked object is exactly ``gamma`` (a subgroup of the vertex
+    group at g0)."""
+    if not is_connected(g):
+        raise ValueError("base groupoid must be connected")
+    vg = getattr(gamma, "parent", None)
+    if not (hasattr(vg, "groupoid") and vg.groupoid == g and vg.at == g0):
+        raise ValueError(
+            "subgroup must live in the vertex group of g at g0")
+    gamma_arrows = tuple(vg.arrows[k] for k in gamma.elements)
+
+    coset_of = {}
+    cosets = []
+    for a in g._out[g0]:
+        if a in coset_of:
+            continue
+        coset = tuple(sorted(g.compose_arrows(a, t) for t in gamma_arrows))
+        for b in coset:
+            coset_of[b] = len(cosets)
+        cosets.append(coset)
+    # canonical object order: by least member arrow
+    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
+    rank = {old: new for new, old in enumerate(order)}
+    cosets = [cosets[i] for i in order]
+    coset_of = {a: rank[i] for a, i in coset_of.items()}
+
+    arrows = []  # (source coset, base arrow)
+    for ci, coset in enumerate(cosets):
+        arrows.extend((ci, barr) for barr in g._out[g.cod[coset[0]]])
+    arr_index = {key: i for i, key in enumerate(arrows)}
+
+    def target(ci, barr):
+        return coset_of[g.compose_arrows(barr, cosets[ci][0])]
+
+    dom = tuple(ci for ci, _ in arrows)
+    cod = tuple(target(ci, barr) for ci, barr in arrows)
+    identity = tuple(
+        arr_index[(ci, g.identity[g.cod[cosets[ci][0]]])]
+        for ci in range(len(cosets)))
+    inverse = tuple(
+        arr_index[(target(ci, barr), g.inverse[barr])]
+        for ci, barr in arrows)
+    # out_of[c]: the ids of the total arrows out of coset c, ascending.
+    out_of = [[] for _ in cosets]
+    for i, (ci, _) in enumerate(arrows):
+        out_of[ci].append(i)
+    compose = {}
+    for j, (cj, bj) in enumerate(arrows):
+        for i in out_of[target(cj, bj)]:
+            compose[(i, j)] = arr_index[
+                (cj, g.compose_arrows(arrows[i][1], bj))]
+    total = FiniteGroupoid(
+        len(cosets), dom, cod, identity, compose, inverse,
+        obj_labels=tuple("[" + g.arr_labels[c[0]] + "]" for c in cosets),
+        arr_labels=tuple(f"[{g.arr_labels[cosets[ci][0]]}]·"
+                         f"{g.arr_labels[barr]}" for ci, barr in arrows))
+    proj = GroupoidMorphism(
+        total, g,
+        tuple(g.cod[c[0]] for c in cosets),
+        tuple(barr for _, barr in arrows))
+    cov = check_covering(proj)
+    if not isinstance(cov, Covering):
+        raise TheoremViolation(
+            f"coset construction failed the covering check: {cov.message}")
+    cov.marked_object = coset_of[g.identity[g0]]
+    return cov
+
+
+def reference_exponential(p, q):
+    """The covering whose fiber over each base object is the full set of
+    maps Ob(fiber of q) -> Ob(fiber of p), with arrows transporting maps
+    through both coverings' fiber transports."""
+    if p.base != q.base:
+        raise ValueError("coverings must share a base")
+    base = p.base
+    p_fibers = {c: fiber(p, c).objects for c in base.objects}
+    q_fibers = {c: fiber(q, c).objects for c in base.objects}
+    objects = []
+    for c in base.objects:
+        for assignment in itertools.product(p_fibers[c],
+                                            repeat=len(q_fibers[c])):
+            objects.append((c, assignment))
+    index = {key: i for i, key in enumerate(objects)}
+
+    p_transport = {g: fiber_transport(p, g).obj_map for g in base.arrows}
+    q_transport = {g: fiber_transport(q, g).obj_map for g in base.arrows}
+
+    def transported(g: int, cod_obj: int) -> int:
+        """Domain object of the unique arrow over g into cod_obj."""
+        c, assignment = objects[cod_obj]
+        d = base.dom[g]
+        amap = dict(zip(q_fibers[c], assignment))
+        new_assignment = tuple(
+            p_transport[g][amap[q_transport[base.inverse[g]][y]]]
+            for y in q_fibers[d])
+        return index[(d, new_assignment)]
+
+    arrows = []
+    for i, (c, _) in enumerate(objects):
+        arrows.extend((g, i) for g in base._into[c])
+    arrows.sort()
+    apos = {key: k for k, key in enumerate(arrows)}
+    dom = tuple(transported(g, i) for g, i in arrows)
+    cod = tuple(i for _, i in arrows)
+    identity = tuple(apos[(base.identity[c], i)]
+                     for i, (c, _) in enumerate(objects))
+    inverse = tuple(apos[(base.inverse[g], dom[k])]
+                    for k, (g, _) in enumerate(arrows))
+    compose = {}
+    for k1, (g1, i1) in enumerate(arrows):
+        for k2, (g2, i2) in enumerate(arrows):
+            if i2 == dom[k1]:
+                compose[(k1, k2)] = apos[(base.compose_arrows(g1, g2), i1)]
+    gpd = FiniteGroupoid(
+        len(objects), dom, cod, identity, compose, inverse,
+        obj_labels=tuple(
+            base.obj_labels[c] + "|" + ",".join(
+                p.total.obj_labels[v] for v in assignment)
+            for c, assignment in objects),
+        arr_labels=tuple(f"{base.arr_labels[g]}@{i}" for g, i in arrows))
+    proj = GroupoidMorphism(
+        gpd, base,
+        tuple(c for c, _ in objects),
+        tuple(g for g, _ in arrows))
+    cov = check_covering(proj)
+    if not isinstance(cov, Covering):
+        raise TheoremViolation(
+            f"exponential projection failed the covering check: "
+            f"{cov.message}")
+    return ExponentialCovering(covering=cov, first=p, second=q,
+                               objects=tuple(objects),
+                               arrows=tuple(arrows), _index=index)
+
+
+def reference_presheaf_to_covering(ps):
+    """The covering of elements: one total object per (base object,
+    element), one arrow into (c, v) per base arrow g into c, with domain
+    (dom g, F(g)(v))."""
+    ps.validate()
+    base = ps.base
+    objects = [(c, v) for c in base.objects for v in ps.sets[c]]
+    opos = {key: i for i, key in enumerate(objects)}
+    arrows = []
+    for i, (c, _) in enumerate(objects):
+        arrows.extend((g, i) for g in base._into[c])
+    arrows.sort()
+    apos = {key: k for k, key in enumerate(arrows)}
+
+    def dom_obj(g, i):
+        c, v = objects[i]
+        return opos[(base.dom[g], ps.maps[g][v])]
+
+    dom = tuple(dom_obj(g, i) for g, i in arrows)
+    cod = tuple(i for _, i in arrows)
+    identity = tuple(apos[(base.identity[c], i)]
+                     for i, (c, _) in enumerate(objects))
+    inverse = tuple(apos[(base.inverse[g], dom[k])]
+                    for k, (g, _) in enumerate(arrows))
+    compose = {}
+    for k1, (g1, i1) in enumerate(arrows):
+        for k2, (g2, i2) in enumerate(arrows):
+            if i2 == dom[k1]:
+                compose[(k1, k2)] = apos[(base.compose_arrows(g1, g2), i1)]
+    gpd = FiniteGroupoid(
+        len(objects), dom, cod, identity, compose, inverse,
+        obj_labels=tuple(f"{base.obj_labels[c]}·{v}" for c, v in objects),
+        arr_labels=tuple(f"{base.arr_labels[g]}·{objects[i][1]}"
+                         for g, i in arrows))
+    proj = GroupoidMorphism(
+        gpd, base,
+        tuple(c for c, _ in objects),
+        tuple(g for g, _ in arrows))
+    cov = check_covering(proj)
+    if not isinstance(cov, Covering):
+        raise TheoremViolation(
+            f"covering of elements failed the covering check: "
+            f"{cov.message}")
+    return cov
+
+
+def reference_pullback_covering(p, f):
+    if f.target != p.base:
+        raise ValueError("morphism must land in the covering's base")
+    h = f.source
+    t = p.total
+    obj_pairs = tuple((x, y) for x in h.objects for y in t.objects
+                      if f.obj_map[x] == p.morphism.obj_map[y])
+    arr_pairs = tuple((a, b) for a in h.arrows for b in t.arrows
+                      if f.arr_map[a] == p.morphism.arr_map[b])
+    opos = {pair: i for i, pair in enumerate(obj_pairs)}
+    apos = {pair: i for i, pair in enumerate(arr_pairs)}
+    dom = tuple(opos[(h.dom[a], t.dom[b])] for a, b in arr_pairs)
+    cod = tuple(opos[(h.cod[a], t.cod[b])] for a, b in arr_pairs)
+    identity = tuple(apos[(h.identity[x], t.identity[y])]
+                     for x, y in obj_pairs)
+    inverse = tuple(apos[(h.inverse[a], t.inverse[b])] for a, b in arr_pairs)
+    compose = {}
+    for i, (a1, b1) in enumerate(arr_pairs):
+        for j, (a2, b2) in enumerate(arr_pairs):
+            if h.cod[a2] == h.dom[a1] and t.cod[b2] == t.dom[b1]:
+                compose[(i, j)] = apos[(h.compose_arrows(a1, a2),
+                                        t.compose_arrows(b1, b2))]
+    gpd = FiniteGroupoid(
+        len(obj_pairs), dom, cod, identity, compose, inverse,
+        obj_labels=tuple(f"({h.obj_labels[x]},{t.obj_labels[y]})"
+                         for x, y in obj_pairs),
+        arr_labels=tuple(f"({h.arr_labels[a]},{t.arr_labels[b]})"
+                         for a, b in arr_pairs))
+    proj1 = GroupoidMorphism(gpd, h,
+                             tuple(x for x, _ in obj_pairs),
+                             tuple(a for a, _ in arr_pairs))
+    proj2 = GroupoidMorphism(gpd, t,
+                             tuple(y for _, y in obj_pairs),
+                             tuple(b for _, b in arr_pairs))
+    cov = check_covering(proj1)
+    if not isinstance(cov, Covering):
+        raise TheoremViolation(
+            f"pullback projection failed the covering check: {cov.message}")
+    return PullbackCovering(covering=cov, to_total=proj2,
+                            obj_pairs=obj_pairs, arr_pairs=arr_pairs)
+
+
+def reference_omega(g):
+    two = disjoint_union(g, g)
+    two = relabeled(
+        two,
+        obj_labels=tuple(lbl + ":t" for lbl in g.obj_labels)
+        + tuple(lbl + ":f" for lbl in g.obj_labels),
+        arr_labels=tuple(lbl + ":t" for lbl in g.arr_labels)
+        + tuple(lbl + ":f" for lbl in g.arr_labels))
+    proj = GroupoidMorphism(
+        two, g,
+        tuple(g.objects) + tuple(g.objects),
+        tuple(g.arrows) + tuple(g.arrows))
+    cov = check_covering(proj)
+    if not isinstance(cov, Covering):
+        raise TheoremViolation(f"classifier is not a covering: "
+                               f"{cov.message}")
+    no, na = g.n_objects, g.n_arrows
+    true = GroupoidMorphism(g, two, tuple(g.objects), tuple(g.arrows))
+    false = GroupoidMorphism(g, two,
+                             tuple(x + no for x in g.objects),
+                             tuple(a + na for a in g.arrows))
+    return Omega(covering=cov, true=true, false=false,
+                 true_objects=tuple(range(no)),
+                 false_objects=tuple(range(no, 2 * no)))
+
+
+# -- comparison ---------------------------------------------------------------
+
+def assert_same_groupoid(got, want):
+    assert got.n_objects == want.n_objects
+    assert got.dom == want.dom and got.cod == want.cod
+    assert got.identity == want.identity
+    assert got.inverse == want.inverse
+    assert got.compose == want.compose
+    assert got.obj_labels == want.obj_labels
+    assert got.arr_labels == want.arr_labels
+
+
+def assert_same_morphism(got, want):
+    assert got.obj_map == want.obj_map and got.arr_map == want.arr_map
+    assert_same_groupoid(got.source, want.source)
+    assert got.target is want.target
+
+
+def assert_same_covering(got, want):
+    assert_same_morphism(got.morphism, want.morphism)
+    assert got.witnesses == want.witnesses
+    assert got.marked_object == want.marked_object
+
+
+# -- inputs: the generated groupoids and coverings of them -----------------
+
+CONNECTED = sorted(name for name, g in CORPUS.items() if is_connected(g))
+DISCONNECTED = sorted(name for name, g in CORPUS.items()
+                      if not is_connected(g))
+MAX_FOLD = 3  # keeps fold^fold exponential fibers small
+
+
+def subgroup_covers(g, max_fold=None):
+    """covering_from_subgroup at object 0 for every subgroup of the vertex
+    group, ordered by the subgroup's elements."""
+    vg = vertex_group(g, 0)
+    return [covering_from_subgroup(g, 0, sub) for sub in vg.subgroups()
+            if max_fold is None or sub.index <= max_fold]
+
+
+def small_covers(name):
+    """Coverings of one generated base with fold at most MAX_FOLD: coset
+    covers when connected, plus the identity and the classifier."""
+    g = CORPUS[name]
+    covers = [require_covering(GroupoidMorphism.identity(g)),
+              omega(g).covering]
+    if is_connected(g):
+        covers += subgroup_covers(g, MAX_FOLD)
+    return covers
+
+
+@pytest.mark.parametrize("name", CONNECTED)
+def test_covering_from_subgroup_matches_reference(name):
+    g = CORPUS[name]
+    for x in sorted({0, g.n_objects - 1}):
+        for sub in vertex_group(g, x).subgroups():
+            assert_same_covering(covering_from_subgroup(g, x, sub),
+                                 reference_covering_from_subgroup(g, x, sub))
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_omega_matches_reference(name):
+    got, want = omega(CORPUS[name]), reference_omega(CORPUS[name])
+    assert_same_covering(got.covering, want.covering)
+    for side in ("true", "false"):
+        m, r = getattr(got, side), getattr(want, side)
+        assert (m.obj_map, m.arr_map) == (r.obj_map, r.arr_map)
+        assert m.source is r.source and m.target is got.covering.total
+    assert got.true_objects == want.true_objects
+    assert got.false_objects == want.false_objects
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_exponential_matches_reference(name):
+    covers = small_covers(name)
+    for p, q in itertools.product(covers, repeat=2):
+        got, want = exponential(p, q), reference_exponential(p, q)
+        assert_same_covering(got.covering, want.covering)
+        assert got.objects == want.objects and got.arrows == want.arrows
+        assert got._index == want._index
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_presheaf_to_covering_matches_reference(name):
+    for cov in small_covers(name):
+        ps = covering_to_presheaf(cov)
+        assert_same_covering(presheaf_to_covering(ps),
+                             reference_presheaf_to_covering(ps))
+
+
+def _morphisms_into(name):
+    """Morphisms into a generated base: the projections of its small
+    coverings, and for connected bases every morphism from C2, whose
+    images miss most of the base."""
+    g = CORPUS[name]
+    out = [cov.morphism for cov in small_covers(name)]
+    if is_connected(g):
+        out += list(all_morphisms(group_groupoid(FiniteGroup.cyclic(2)), g))
+    return out
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_pullback_covering_matches_reference(name):
+    for p in small_covers(name):
+        for f in _morphisms_into(name):
+            got, want = pullback_covering(p, f), reference_pullback_covering(
+                p, f)
+            assert_same_covering(got.covering, want.covering)
+            assert_same_morphism(got.to_total, want.to_total)
+            assert got.obj_pairs == want.obj_pairs
+            assert got.arr_pairs == want.arr_pairs
+
+
+def test_loop_inclusion_pullback_matches_reference():
+    """A pullback along a non-surjective inclusion of one vertex group."""
+    g = CORPUS["codiscrete-2-x-s3-shuffled"]
+    sub = CORPUS["loop-subgroupoid"]
+    loops = g.loops(0)
+    incl = GroupoidMorphism(sub, g, (0,), loops)
+    for p in subgroup_covers(g):
+        got, want = pullback_covering(p, incl), reference_pullback_covering(
+            p, incl)
+        assert_same_covering(got.covering, want.covering)
+        assert got.arr_pairs == want.arr_pairs
+
+
+# -- the shared pieces --------------------------------------------------------
+
+def test_covering_of_lifts_names_the_construction():
+    """A lift table that is not a covering fails the covering check, and
+    the violation names the construction."""
+    g = CORPUS["s3"]
+    e = g.identity[0]
+    # two total objects, but every arrow is lifted only into object 0
+    arrows = [(a, 0, 0) for a in g.arrows] + [(e, 1, 1)]
+    with pytest.raises(TheoremViolation, match="^test lifts failed the "
+                                               "covering check"):
+        covering_of_lifts(g, (0, 0), arrows, ("a", "b"),
+                          [str(k) for k in range(len(arrows))],
+                          "test lifts")
+
+
+def test_factor_through_recovers_the_quotient_map():
+    g = CORPUS["codiscrete-2-x-c3"]
+    ident = GroupoidMorphism.identity(g)
+    for cov in subgroup_covers(g):
+        assert factor_through(cov.morphism, cov.morphism) == ident
+    u = universal_cover(g)
+    with pytest.raises(ValueError, match="fiber over object 0 maps to"):
+        factor_through(u.morphism, GroupoidMorphism.identity(u.total))
+
+
+def test_factor_through_names_a_missed_id():
+    g = CORPUS["codiscrete-2-x-c3"]
+    one = FiniteGroupoid(1, (0,), (0,), (0,), {(0, 0): 0}, (0,))
+    point = GroupoidMorphism(one, g, (0,), (g.identity[0],))
+    with pytest.raises(ValueError, match="^object 1 is not hit$"):
+        factor_through(point, GroupoidMorphism.identity(one))
