@@ -16,7 +16,8 @@ from .covering import (Covering, CoveringFailure, EquivalencePair, Fiber,
                        find_groupoid_isomorphism, fold,
                        groupoid_isomorphisms, is_weak_equivalence,
                        lift_arrow, lift_morphism, monodromy,
-                       pushforward_vertex, require_covering)
+                       pushforward_vertex, require_covering,
+                       verified_covering)
 from .transform import (CovGroup, NormalizerIso, cov_normalizer_iso,
                         covering_transformations, induced_f_sharp,
                         is_regular, principal_action_check)

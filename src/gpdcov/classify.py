@@ -24,14 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .covering import (Covering, GroupoidMorphism, check_covering,
-                       components, compose_morphisms, covering_of_lifts,
+from .covering import (Covering, GroupoidMorphism, components,
+                       compose_morphisms, covering_of_lifts,
                        equivalent_coverings, factor_through, fold,
-                       lift_morphism)
-from .construct import OrbitGroupoid, orbit_groupoid, universal_cover
+                       lift_morphism, verified_covering)
+from .construct import (GroupAction, OrbitGroupoid, orbit_groupoid,
+                        universal_cover)
 from .groupoid import (FiniteGroupoid, component_subgroupoid, is_connected,
                        vertex_group)
-from .groups import Subgroup, find_isomorphism
+from .groups import FiniteGroup, Subgroup, find_isomorphism
 from .transform import covering_transformations, is_regular
 
 
@@ -50,15 +51,12 @@ def pullback_covering(p: Covering, f: GroupoidMorphism) -> PullbackCovering:
         raise ValueError("morphism must land in the covering's base")
     h = f.source
     t = p.total
-    # bucket the total's objects and arrows by their image in the base
-    objs_over = [[] for _ in p.base.objects]
-    for y, b in enumerate(p.morphism.obj_map):
-        objs_over[b].append(y)
+    # bucket the total's arrows by their image in the base
     arrs_over = [[] for _ in p.base.arrows]
     for b, g in enumerate(p.morphism.arr_map):
         arrs_over[g].append(b)
     obj_pairs = tuple((x, y) for x in h.objects
-                      for y in objs_over[f.obj_map[x]])
+                      for y in p.fibers[f.obj_map[x]])
     arr_pairs = tuple((a, b) for a in h.arrows
                       for b in arrs_over[f.arr_map[a]])
     opos = {pair: i for i, pair in enumerate(obj_pairs)}
@@ -93,11 +91,9 @@ def fibered_product(p: Covering, q: Covering) -> FiberedProduct:
     if p.base != q.base:
         raise ValueError("coverings must share a base")
     pb = pullback_covering(p, q.morphism)
-    over_base = compose_morphisms(q.morphism, pb.covering.morphism)
-    cov = check_covering(over_base)
-    if not isinstance(cov, Covering):
-        raise TheoremViolation(
-            f"fibered product is not a covering of the base: {cov.message}")
+    cov = verified_covering(
+        compose_morphisms(q.morphism, pb.covering.morphism),
+        "fibered product")
     return FiberedProduct(covering=cov,
                           proj_first=pb.to_total,
                           proj_second=pb.covering.morphism,
@@ -155,8 +151,6 @@ def pushout_covering(p_orbit: Covering, q_orbit: Covering) -> PushoutResult:
                     nxt.append(c)
         frontier = nxt
     morphs = sorted(closed.values(), key=lambda t: t.obj_map)
-    from .construct import GroupAction
-    from .groups import FiniteGroup
     pos = {t.obj_map: i for i, t in enumerate(morphs)}
     table = tuple(
         tuple(pos[compose_morphisms(t1, t2).obj_map] for t2 in morphs)
@@ -250,15 +244,8 @@ def _quotient_to_base(universal: Covering, orb: OrbitGroupoid) -> Covering:
         raise TheoremViolation(
             f"universal projection does not factor through the orbit "
             f"quotient: {exc}") from None
-    cov = check_covering(m)
-    if not isinstance(cov, Covering):
-        raise TheoremViolation(
-            f"quotient projection failed the covering check: {cov.message}")
-    marked = universal.marked_object
-    if marked is None:
-        marked = 0
-    cov.marked_object = proj.obj_map[marked]
-    return cov
+    return verified_covering(m, "quotient projection",
+                             proj.obj_map[universal.mark])
 
 
 def classify_covering(lattice: GaloisLattice, q: Covering) -> CoveringClass:
@@ -270,25 +257,15 @@ def classify_covering(lattice: GaloisLattice, q: Covering) -> CoveringClass:
     if not is_connected(q.total):
         raise ValueError("classification applies to connected coverings")
     u = lattice.universal
-    marked = u.marked_object if u.marked_object is not None else 0
-    base_pt = u.morphism.obj_map[marked]
-    seed = None
-    for cand in q.total.objects:
-        if q.morphism.obj_map[cand] == base_pt:
-            seed = cand
-            break
-    if seed is None:
+    seeds = q.fibers[u.morphism.obj_map[u.mark]]
+    if not seeds:
         raise TheoremViolation("connected covering misses a base object")
-    r = lift_morphism(q, u.morphism, marked, seed)
+    r = lift_morphism(q, u.morphism, u.mark, seeds[0])
     if r is None:
         raise TheoremViolation(
             "universal cover does not lift over a connected covering")
-    r_cov = check_covering(r)
-    if not isinstance(r_cov, Covering):
-        raise TheoremViolation(
-            f"projection from the universal cover is not a covering: "
-            f"{r_cov.message}")
-    r_cov.marked_object = marked
+    r_cov = verified_covering(r, "projection from the universal cover",
+                              u.mark)
     cov_r = covering_transformations(r_cov)
     sub = lattice.cov_group.subgroup_of_morphisms(cov_r.transformations)
     return lattice.node_for_subgroup(sub)
@@ -302,7 +279,7 @@ def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:
         raise ValueError("classes must belong to one lattice")
     lat = a.lattice
     prod = fibered_product(a.covering, b.covering)
-    marked = lat.universal.marked_object
+    marked = lat.universal.mark
     # obj_pairs carry (second factor, first factor); see fibered_product
     pair = (b.orbit.projection.obj_map[marked],
             a.orbit.projection.obj_map[marked])
@@ -316,11 +293,8 @@ def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:
         comp, lat.base,
         tuple(prod.covering.morphism.obj_map[v] for v in obj_ids),
         tuple(prod.covering.morphism.arr_map[v] for v in arr_ids))
-    comp_cov = check_covering(proj)
-    if not isinstance(comp_cov, Covering):
-        raise TheoremViolation(
-            f"pullback component is not a covering: {comp_cov.message}")
-    comp_cov.marked_object = incl_obj[marked_obj]
+    comp_cov = verified_covering(proj, "pullback component",
+                                 incl_obj[marked_obj])
     expect = lat.nodes[lat.meet(lat.index_of(a), lat.index_of(b))]
     if equivalent_coverings(expect.covering, comp_cov) is None:
         raise TheoremViolation(
@@ -346,7 +320,8 @@ def build_lattice(g: FiniteGroupoid, g0: int = 0) -> GaloisLattice:
     subs = gamma.subgroups()
     nodes = []
     for sub in subs:
-        orb = orbit_groupoid(cov_group.action_of_subgroup(sub))
+        orb = orbit_groupoid(cov_group.action_of_subgroup(sub),
+                             u.marked_object)
         quot_cov = _quotient_to_base(u, orb)
         node = CoveringClass(
             subgroup=sub,
@@ -365,9 +340,7 @@ def _verify_lattice(lat: GaloisLattice):
     n = len(lat.nodes)
     for node in lat.nodes:
         # round trip Π -> quotient covering -> Cov of the orbit morphism
-        orbit_cov = node.orbit.covering
-        orbit_cov.marked_object = lat.universal.marked_object
-        back = covering_transformations(orbit_cov)
+        back = covering_transformations(node.orbit.covering)
         sub = lat.cov_group.subgroup_of_morphisms(back.transformations)
         if sub != node.subgroup:
             raise TheoremViolation(
@@ -384,8 +357,7 @@ def _verify_lattice(lat: GaloisLattice):
                 "regularity does not match normality of the subgroup "
                 "(clause: regularity)")
         # vertex group of the quotient is the subgroup
-        vg = vertex_group(node.covering.total,
-                          node.covering.marked_object)
+        vg = vertex_group(node.covering.total, node.covering.mark)
         if find_isomorphism(vg, node.subgroup.as_group()) is None:
             raise TheoremViolation(
                 "vertex group of a quotient is not isomorphic to its "
@@ -416,11 +388,8 @@ def _orbit_map_exists(a: CoveringClass, b: CoveringClass) -> bool:
     """Whether quotient_a projects onto quotient_b compatibly with the two
     orbit morphisms (possible iff the a-orbits refine the b-orbits)."""
     try:
-        m = _induced_on_quotient(a.orbit.covering, b.orbit.covering)
+        m = factor_through(a.orbit.projection, b.orbit.projection)
     except ValueError:
         return False
-    out = check_covering(m)
-    if not isinstance(out, Covering):
-        raise TheoremViolation(
-            "induced projection between quotients is not a covering")
+    verified_covering(m, "induced projection between quotients")
     return True

@@ -18,15 +18,12 @@ indent, LF line endings, no timestamps.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 
 from . import documents as docs
-from .covering import (GroupoidMorphism, check_covering, Covering,
-                       equivalent_coverings, fiber, fold, is_connected,
-                       lift_arrow, lift_morphism, monodromy,
-                       pushforward_vertex)
+from .covering import (check_covering, Covering, equivalent_coverings,
+                       fiber, fold, is_connected, lift_arrow, lift_morphism,
+                       monodromy)
 from .classify import (build_lattice, pullback_covering, pushout_covering)
 from .construct import (covering_from_subgroup, orbit_groupoid,
                         universal_cover)
@@ -120,10 +117,6 @@ def cmd_vertex_group(args):
                       for a in range(vg.order)]}
 
 
-def _load_cover(fname):
-    return docs.load_covering(fname)
-
-
 def cmd_check_cover(args):
     m = docs.load_morphism(args.morphism)
     out = check_covering(m)
@@ -144,7 +137,7 @@ def cmd_check_cover(args):
 
 
 def cmd_fiber(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     fb = fiber(cov, _obj_index(cov.base, args.object, "--object"))
     tot_o = _labels(cov.total.obj_labels)
     tot_a = _labels(cov.total.arr_labels)
@@ -155,7 +148,7 @@ def cmd_fiber(args):
 
 
 def cmd_lift_arrow(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     a = _arr_index(cov.base, args.arrow, "--arrow")
     at = _obj_index(cov.total, args.at, "--at")
     if cov.morphism.obj_map[at] != cov.base.cod[a]:
@@ -167,7 +160,7 @@ def cmd_lift_arrow(args):
 
 
 def cmd_lift_morphism(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     f = docs.load_morphism(args.morphism)
     if f.target != cov.base:
         raise docs.DocumentError(
@@ -184,12 +177,12 @@ def cmd_lift_morphism(args):
 
 
 def cmd_fold(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     return {"fold": fold(cov)}
 
 
 def cmd_monodromy(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     act = monodromy(cov, _obj_index(cov.base, args.object, "--object"))
     tot = _labels(cov.total.obj_labels)
     return {
@@ -237,19 +230,12 @@ def cmd_universal(args):
 
 
 def cmd_orbit(args):
-    with open(args.action, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise docs.DocumentError("/", f"invalid JSON: {exc}")
-    action = docs.parse_action(
-        doc, base_dir=os.path.dirname(os.path.abspath(args.action)))
-    orb = orbit_groupoid(action)
+    orb = orbit_groupoid(docs.load_action(args.action))
     return docs.emit_covering(orb.covering)
 
 
 def cmd_cov_group(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     grp = covering_transformations(cov)
     return {
         "order": grp.order,
@@ -263,7 +249,7 @@ def cmd_cov_group(args):
 
 
 def cmd_regular(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     reg = is_regular(cov)
     if not reg:
         raise MathematicalNegative({"regular": False})
@@ -271,10 +257,9 @@ def cmd_regular(args):
 
 
 def cmd_normalizer_iso(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     at = (_obj_index(cov.total, args.object, "--object")
-          if args.object is not None
-          else (cov.marked_object or 0))
+          if args.object is not None else cov.mark)
     ni = cov_normalizer_iso(cov, at)
     vg_names = ni.pushforward.parent.names
     return {
@@ -288,8 +273,8 @@ def cmd_normalizer_iso(args):
 
 
 def cmd_equiv(args):
-    p = _load_cover(args.first)
-    q = _load_cover(args.second)
+    p = docs.load_covering(args.first)
+    q = docs.load_covering(args.second)
     pair = equivalent_coverings(p, q, fixed_base=args.fixed_base)
     if pair is None:
         raise MathematicalNegative({"equivalent": False})
@@ -299,7 +284,7 @@ def cmd_equiv(args):
 
 
 def cmd_pullback(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     f = docs.load_morphism(args.along)
     if f.target != cov.base:
         raise docs.DocumentError(
@@ -310,8 +295,8 @@ def cmd_pullback(args):
 
 
 def cmd_pushout(args):
-    p = _load_cover(args.first)
-    q = _load_cover(args.second)
+    p = docs.load_covering(args.first)
+    q = docs.load_covering(args.second)
     result = pushout_covering(p, q)
     return {"orbit_morphism": docs.emit_covering(result.orbit_covering),
             "leg_first": _morphism_maps(result.leg_first),
@@ -377,7 +362,7 @@ def cmd_omega(args):
 
 
 def cmd_char(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     s = docs.load_morphism(args.sub)
     if s.target != cov.total:
         raise docs.DocumentError(
@@ -393,7 +378,7 @@ def cmd_char(args):
 
 
 def cmd_subobjects(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     lattice = subobjects(cov)
     labels = _labels(cov.total.obj_labels)
     return {
@@ -405,16 +390,16 @@ def cmd_subobjects(args):
 
 
 def cmd_expo(args):
-    p = _load_cover(args.first)
-    q = _load_cover(args.second)
+    p = docs.load_covering(args.first)
+    q = docs.load_covering(args.second)
     ex = exponential(p, q)
     return docs.emit_covering(ex.covering)
 
 
 def cmd_adjunction(args):
-    r = _load_cover(args.first)
-    p = _load_cover(args.second)
-    q = _load_cover(args.third)
+    r = docs.load_covering(args.first)
+    p = docs.load_covering(args.second)
+    q = docs.load_covering(args.third)
     w = adjunction_check(r, p, q)
     return {"product_hom_count": len(w.lhs),
             "exponential_hom_count": len(w.rhs),
@@ -422,18 +407,12 @@ def cmd_adjunction(args):
 
 
 def cmd_to_presheaf(args):
-    cov = _load_cover(args.covering)
+    cov = docs.load_covering(args.covering)
     return docs.emit_presheaf(covering_to_presheaf(cov))
 
 
 def cmd_from_presheaf(args):
-    with open(args.presheaf, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise docs.DocumentError("/", f"invalid JSON: {exc}")
-    ps = docs.parse_presheaf(
-        doc, base_dir=os.path.dirname(os.path.abspath(args.presheaf)))
+    ps = docs.load_presheaf(args.presheaf)
     return docs.emit_covering(presheaf_to_covering(ps))
 
 

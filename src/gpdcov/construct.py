@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonFreeActionError, TheoremViolation
-from .covering import (Covering, GroupoidMorphism, check_covering,
-                       compose_morphisms, covering_of_lifts, factor_through)
+from .covering import (Covering, GroupoidMorphism, compose_morphisms,
+                       covering_of_lifts, factor_through, verified_covering)
 from .groupoid import FiniteGroupoid, is_connected, vertex_group
 from .groups import FiniteGroup, Subgroup
 from .transform import CovGroup, covering_transformations, is_regular
@@ -121,13 +121,14 @@ def _orbits(maps, count):
     return tuple(blocks), tuple(index)
 
 
-def orbit_groupoid(action: GroupAction) -> OrbitGroupoid:
+def orbit_groupoid(action: GroupAction,
+                   marked_object=None) -> OrbitGroupoid:
     """Quotient the space by a free action of the group.
 
     Objects/arrows of the quotient are orbits; composition of two arrow
     orbits picks the unique group element aligning the representatives'
     endpoints.  The orbit morphism is verified to be a covering
-    projection.
+    projection, marked at ``marked_object`` of the space.
     """
     fp = action.fixed_point()
     if fp is not None:
@@ -170,14 +171,8 @@ def orbit_groupoid(action: GroupAction) -> OrbitGroupoid:
         arr_labels=tuple("[" + sp.arr_labels[blk[0]] + "]"
                          for blk in arr_blocks))
     projection = GroupoidMorphism(sp, quotient, obj_index, arr_index)
-    bad = projection.functoriality_violations()
-    if bad:
-        raise TheoremViolation(f"orbit morphism not functorial: {bad[0]}")
-    out = check_covering(projection)
-    if not isinstance(out, Covering):
-        raise TheoremViolation(
-            f"orbit morphism of a free action is not a covering: "
-            f"{out.message}")
+    out = verified_covering(projection, "orbit morphism of a free action",
+                            marked_object)
     return OrbitGroupoid(action=action, quotient=quotient,
                          projection=projection, covering=out,
                          obj_orbits=obj_blocks, arr_orbits=arr_blocks)
@@ -215,14 +210,12 @@ def covering_from_subgroup(g: FiniteGroupoid, g0: int,
     arrows = [(barr, ci, target(ci, barr))
               for ci, coset in enumerate(cosets)
               for barr in g._out[g.cod[coset[0]]]]
-    cov = covering_of_lifts(
+    return covering_of_lifts(
         g, tuple(g.cod[c[0]] for c in cosets), arrows,
         tuple("[" + g.arr_labels[c[0]] + "]" for c in cosets),
         tuple(f"[{g.arr_labels[cosets[ci][0]]}]·{g.arr_labels[barr]}"
               for barr, ci, _ in arrows),
-        "coset construction")
-    cov.marked_object = coset_of[g.identity[g0]]
-    return cov
+        "coset construction", coset_of[g.identity[g0]])
 
 
 def universal_cover(g: FiniteGroupoid, g0=None) -> Covering:

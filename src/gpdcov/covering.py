@@ -6,6 +6,13 @@ The inverse bijections (one per total object) are computed once and cached
 as the covering's witness: every lifting construction afterwards is a pure
 table lookup.
 
+A :class:`Covering` is read-only.  It takes its marked object at
+construction and also keeps ``mark`` (the marked object, or 0 when none is
+set) and ``fibers[y]`` (the total objects over base object y, ascending).
+:func:`verified_covering` is the one checked constructor for coverings the
+library builds itself: it runs :func:`check_covering` and turns any failure
+into a :class:`TheoremViolation` naming the construction.
+
 Conventions (fixed package-wide, see :mod:`gpdcov.groupoid`): stars collect
 arrows INTO an object, compose(f, h) applies h first, and the monodromy of
 a loop f at a fiber object x is ``x·f = dom(lift of f at x)`` — a right
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from .errors import TheoremViolation
 from .groupoid import (FiniteGroupoid, VertexGroup, components, is_connected,
                        subgroupoid, vertex_group)
-from .groups import Subgroup, all_homomorphisms
+from .groups import Subgroup, all_homomorphisms, generating_set
 
 
 class GroupoidMorphism:
@@ -167,14 +174,33 @@ class Covering:
     """A verified covering projection with its per-object lifting witness.
 
     ``witness[x]`` maps each base arrow into p(x) to its unique lift into
-    x.  Use :func:`check_covering` to build one.
+    x.  ``marked_object`` is the marked total object or None, ``mark`` the
+    marked object or 0, and ``fibers[y]`` the total objects over base
+    object y in ascending order.  Read-only; use :func:`check_covering` or
+    :func:`verified_covering` to build one.
     """
+
+    __slots__ = ("morphism", "witnesses", "marked_object", "mark", "fibers")
 
     def __init__(self, morphism: GroupoidMorphism, witnesses,
                  marked_object=None):
-        self.morphism = morphism
-        self.witnesses = tuple(dict(w) for w in witnesses)
-        self.marked_object = marked_object
+        fibers = [[] for _ in range(morphism.target.n_objects)]
+        for x, y in enumerate(morphism.obj_map):
+            fibers[y].append(x)
+        for name, value in (
+                ("morphism", morphism),
+                ("witnesses", tuple(dict(w) for w in witnesses)),
+                ("marked_object", marked_object),
+                ("mark", 0 if marked_object is None else marked_object),
+                ("fibers", tuple(map(tuple, fibers)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Covering is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Covering is read-only: cannot delete "
+                             f"{name!r}")
 
     @property
     def total(self) -> FiniteGroupoid:
@@ -197,10 +223,11 @@ class Covering:
         return f"Covering({self.total!r} -> {self.base!r})"
 
 
-def check_covering(f: GroupoidMorphism):
-    """Decide the covering property: a :class:`Covering` with witnesses, or
-    a :class:`CoveringFailure` naming an object whose star map is not a
-    bijection.  Non-functorial input is an error, not a negative."""
+def check_covering(f: GroupoidMorphism, marked_object=None):
+    """Decide the covering property: a :class:`Covering` with witnesses
+    and the given mark, or a :class:`CoveringFailure` naming an object
+    whose star map is not a bijection.  Non-functorial input is an error,
+    not a negative."""
     bad = f.functoriality_violations()
     if bad:
         raise ValueError("morphism is not functorial: " + "; ".join(bad))
@@ -237,18 +264,34 @@ def check_covering(f: GroupoidMorphism):
                          f"{dst.obj_labels[y]} has no lift (star sizes "
                          f"{len(wit)} vs {len(stars_dst[y])})"))
         witnesses.append(wit)
-    return Covering(f, witnesses)
+    return Covering(f, witnesses, marked_object)
 
 
-def require_covering(f: GroupoidMorphism) -> Covering:
-    out = check_covering(f)
+def require_covering(f: GroupoidMorphism, marked_object=None) -> Covering:
+    out = check_covering(f, marked_object)
     if isinstance(out, CoveringFailure):
         raise ValueError(out.message)
     return out
 
 
+def verified_covering(f: GroupoidMorphism, what: str,
+                      marked_object=None) -> Covering:
+    """The covering f with the given mark, for a morphism the library
+    built and knows to be a covering.  A non-functorial f or a failed star
+    check raises :class:`TheoremViolation` naming ``what``."""
+    failed = f"{what} failed the covering check"
+    try:
+        out = check_covering(f, marked_object)
+    except ValueError as exc:  # not functorial
+        raise TheoremViolation(f"{failed}: {exc}") from None
+    if isinstance(out, CoveringFailure):
+        raise TheoremViolation(f"{failed}: {out.message}")
+    return out
+
+
 def covering_of_lifts(base: FiniteGroupoid, over, arrows, obj_labels,
-                      arr_labels, what: str) -> Covering:
+                      arr_labels, what: str,
+                      marked_object=None) -> Covering:
     """The covering total -> base given by its lifts, verified.
 
     ``over[i]`` is the base object under total object i, and
@@ -257,9 +300,8 @@ def covering_of_lifts(base: FiniteGroupoid, over, arrows, obj_labels,
     the rest (Brown, *Topology and Groupoids*, ch. 10): the identity of c
     is the lift of id(over c) into c, the inverse of k is the lift of g⁻¹
     into d, and j∘k is the lift of g_j∘g into cod(j).  Composition walks
-    the arrows out of each codomain, so it costs O(compose).  A lift
-    table that fails :func:`check_covering` raises
-    :class:`TheoremViolation` naming ``what``.
+    the arrows out of each codomain, so it costs O(compose).  The result
+    comes from :func:`verified_covering` with the given mark.
     """
     lift = {(g, c): k for k, (g, _, c) in enumerate(arrows)}
     dom = tuple(d for _, d, _ in arrows)
@@ -277,12 +319,9 @@ def covering_of_lifts(base: FiniteGroupoid, over, arrows, obj_labels,
         compose,
         tuple(lift[(base.inverse[g], d)] for g, d, _ in arrows),
         obj_labels=obj_labels, arr_labels=arr_labels)
-    cov = check_covering(GroupoidMorphism(
-        total, base, over, tuple(g for g, _, _ in arrows)))
-    if not isinstance(cov, Covering):
-        raise TheoremViolation(
-            f"{what} failed the covering check: {cov.message}")
-    return cov
+    return verified_covering(
+        GroupoidMorphism(total, base, over, tuple(g for g, _, _ in arrows)),
+        what, marked_object)
 
 
 @dataclass(frozen=True)
@@ -300,10 +339,9 @@ class Fiber:
 def fiber(p: Covering, base_obj: int) -> Fiber:
     if not 0 <= base_obj < p.base.n_objects:
         raise ValueError(f"unknown object id {base_obj}")
-    f = p.morphism
-    objs = tuple(x for x in p.total.objects if f.obj_map[x] == base_obj)
-    e = p.base.identity[base_obj]
-    arrs = tuple(a for a in p.total.arrows if f.arr_map[a] == e)
+    objs = p.fibers[base_obj]
+    # unique lifting: the only arrow into x over an identity is id(x)
+    arrs = tuple(sorted(p.total.identity[x] for x in objs))
     gpd, obj_ids, arr_ids = subgroupoid(p.total, objs, arrs)
     return Fiber(over=base_obj, objects=objs, arrows=arrs,
                  groupoid=gpd, obj_ids=obj_ids, arr_ids=arr_ids)
@@ -443,13 +481,14 @@ class MonodromyAction:
     fiber objects over it: x·f = dom(lift of f at x)."""
 
     def __init__(self, covering: Covering, base_object: int):
-        fb = fiber(covering, base_object)
-        if not fb.objects:
+        if not 0 <= base_object < covering.base.n_objects:
+            raise ValueError(f"unknown object id {base_object}")
+        if not covering.fibers[base_object]:
             raise ValueError(f"empty fiber over object {base_object}")
         self.covering = covering
         self.base_object = base_object
         self.group: VertexGroup = vertex_group(covering.base, base_object)
-        self.carrier = fb.objects
+        self.carrier = covering.fibers[base_object]
         total = covering.total
         self._table = {
             (x, k): total.dom[covering.lift(self.group.arrows[k], x)]
@@ -487,9 +526,7 @@ def fold(p: Covering) -> int:
     """The constant fiber-object count over a connected base."""
     if not is_connected(p.base):
         raise ValueError("fold requires a connected base")
-    counts = [0] * p.base.n_objects
-    for x in p.total.objects:
-        counts[p.morphism.obj_map[x]] += 1
+    counts = [len(fb) for fb in p.fibers]
     if counts[0] == 0:
         raise ValueError("empty covering has no fold")
     if any(c != counts[0] for c in counts):
@@ -541,7 +578,7 @@ def covering_morphisms(p: Covering, q: Covering, cap: int = 100000):
         base_pt = p.morphism.obj_map[root]
         loop_imgs = {p.morphism.arr_map[a] for a in p.total.loops(root)}
         pieces = []
-        for cand in fiber(q, base_pt).objects:
+        for cand in q.fibers[base_pt]:
             cand_imgs = {q.morphism.arr_map[a]
                          for a in q.total.loops(cand)}
             if loop_imgs <= cand_imgs:
@@ -620,7 +657,6 @@ def all_morphisms(src: FiniteGroupoid, dst: FiniteGroupoid,
 
     Raises if a cheap upper bound on the candidate count exceeds ``cap``.
     """
-    from .groups import generating_set
     parts = components(src)
     bound = 1
     for block in parts.blocks:
@@ -689,7 +725,7 @@ def _seeded_iso_over(p: Covering, f: GroupoidMorphism):
     root = 0
     base_pt = f.obj_map[root]
     loop_imgs = {f.arr_map[a] for a in src.loops(root)}
-    for cand in fiber(p, base_pt).objects:
+    for cand in p.fibers[base_pt]:
         cand_imgs = {p.morphism.arr_map[a] for a in p.total.loops(cand)}
         if loop_imgs != cand_imgs:
             continue

@@ -34,8 +34,10 @@ from __future__ import annotations
 import json
 import os
 
+from .construct import GroupAction
 from .covering import Covering, GroupoidMorphism, require_covering
-from .groupoid import FiniteGroupoid, validate
+from .groupoid import FiniteGroupoid, group_groupoid, validate
+from .groups import FiniteGroup
 from .topos import Presheaf
 
 
@@ -155,8 +157,6 @@ def _parse_group_table(doc, path):
                 raise DocumentError(f"{path}/group_table/{i}/{j}",
                                     f"unknown element {v!r}")
         int_table.append(out)
-    from .groups import FiniteGroup
-    from .groupoid import group_groupoid
     try:
         group = FiniteGroup(int_table, names=elements)
     except ValueError as exc:
@@ -311,8 +311,6 @@ def emit_covering(cov: Covering) -> dict:
 
 
 def parse_action(doc, base_dir: str = ".", path: str = ""):
-    from .construct import GroupAction
-    from .groups import FiniteGroup
     space = _resolve(doc, "space", path, base_dir)
     table = _need(doc, "group_table", path, list)
     elements = doc.get("elements")
@@ -418,38 +416,49 @@ def emit_presheaf(ps: Presheaf) -> dict:
     }
 
 
-def load_groupoid(fname: str) -> FiniteGroupoid:
+def _read(fname: str):
+    """The JSON document in a file, parsed once, and the file's directory
+    (against which the document's relative paths resolve)."""
     with open(fname, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DocumentError("/", f"invalid JSON: {exc}") from None
-    return parse_groupoid(doc)
+    return doc, os.path.dirname(os.path.abspath(fname))
+
+
+def load_groupoid(fname: str) -> FiniteGroupoid:
+    return parse_groupoid(_read(fname)[0])
 
 
 def load_morphism(fname: str) -> GroupoidMorphism:
-    with open(fname, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("/", f"invalid JSON: {exc}") from None
-    return parse_morphism(doc, base_dir=os.path.dirname(
-        os.path.abspath(fname)))
+    doc, base_dir = _read(fname)
+    return parse_morphism(doc, base_dir=base_dir)
 
 
 def load_covering(fname: str) -> Covering:
-    m = load_morphism(fname)
-    cov = require_covering(m)
-    with open(fname, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """A morphism document that must be a covering, marked at its optional
+    ``marked_object``."""
+    doc, base_dir = _read(fname)
+    m = parse_morphism(doc, base_dir=base_dir)
     marked = doc.get("marked_object")
     if marked is not None:
         labels = _unique_labels(m.source.obj_labels)
         if str(marked) not in labels:
             raise DocumentError("/marked_object",
                                 f"unknown object {marked!r}")
-        cov.marked_object = labels.index(str(marked))
-    return cov
+        marked = labels.index(str(marked))
+    return require_covering(m, marked)
+
+
+def load_action(fname: str):
+    doc, base_dir = _read(fname)
+    return parse_action(doc, base_dir=base_dir)
+
+
+def load_presheaf(fname: str) -> Presheaf:
+    doc, base_dir = _read(fname)
+    return parse_presheaf(doc, base_dir=base_dir)
 
 
 def dumps(doc) -> str:

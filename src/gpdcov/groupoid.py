@@ -16,7 +16,8 @@ in O(arrows): ``_into[x]`` and ``_out[x]`` hold the ids of the arrows into
 and out of x, in ascending order.  :func:`star` reads it in O(|star x|),
 ``hom(x, y)`` and ``loops`` in O(|star y|), and :func:`validate` costs
 O(arrows + composable pairs + composable triples) rather than a scan over
-all pairs or triples of arrows.
+all pairs or triples of arrows.  :func:`components` computes the
+partition into connected components on its first call and keeps it.
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -74,6 +75,7 @@ class FiniteGroupoid:
                 into[y].append(a)
         self._into = tuple(map(tuple, into))
         self._out = tuple(map(tuple, out))
+        self._components = None  # the Partition, once components() asks
 
     @property
     def n_arrows(self) -> int:
@@ -276,7 +278,14 @@ def star(g: FiniteGroupoid, x: int) -> Star:
 def components(g: FiniteGroupoid) -> Partition:
     """Connected components: x and y share a block iff hom(x, y) is
     nonempty (in a groupoid this relation is already symmetric and
-    transitive)."""
+    transitive).  Computed on the first call and kept on the groupoid,
+    whose dom/cod tables never change."""
+    if g._components is None:
+        g._components = _union_find(g)
+    return g._components
+
+
+def _union_find(g: FiniteGroupoid) -> Partition:
     parent = list(range(g.n_objects))
 
     def find(i):

@@ -17,18 +17,16 @@ from functools import lru_cache
 
 from .covering import (Covering, GroupoidMorphism, all_morphisms,
                        check_covering, components, compose_morphisms,
-                       covering_morphisms, equivalent_coverings, fiber,
+                       covering_morphisms, equivalent_coverings,
                        find_covering_isomorphism, fold, lift_morphism,
                        monodromy, pushforward_vertex, require_covering)
 from .classify import (_quotient_to_base, build_lattice, classify_covering,
-                       fibered_product, meet_covering, pullback_covering,
-                       pushout_covering)
+                       meet_covering, pullback_covering, pushout_covering)
 from .construct import (covering_from_subgroup, orbit_groupoid,
                         quotient_comparison, universal_cover)
-from .groupoid import (codiscrete_groupoid, disjoint_union, group_groupoid,
-                       is_connected, trivial_groupoid, validate,
-                       vertex_group)
-from .groups import FiniteGroup, find_isomorphism, is_isomorphic
+from .groupoid import (FiniteGroupoid, codiscrete_groupoid, disjoint_union,
+                       group_groupoid, trivial_groupoid, vertex_group)
+from .groups import FiniteGroup, is_isomorphic
 from .topos import (adjunction_check, characteristic_morphism, classifies,
                     covering_to_presheaf, exponential,
                     group_action_on_exponential, omega,
@@ -154,7 +152,7 @@ def check_unique_lifting(enumeration_bound: int = 50000):
                       if compose_morphisms(p.morphism, m) == f]
         except ValueError:
             over_f = None  # enumeration bound exceeded for this pair
-        for seed in fiber(p, f.obj_map[f0]).objects:
+        for seed in p.fibers[f.obj_map[f0]]:
             seed_imgs = {p.morphism.arr_map[a]
                          for a in p.total.loops(seed)}
             expected = loop_imgs <= seed_imgs
@@ -285,7 +283,6 @@ def _multi_component_covers():
             disjoint_union(disjoint_union(base, base), base), base,
             tuple(idm.obj_map) * 3, tuple(idm.arr_map) * 3))
         out.append((f"three copies of {name}", three))
-        vgrp = vertex_group(base, 0)
         out.append((f"identity of {name}",
                     require_covering(idm)))
     return out
@@ -321,7 +318,7 @@ def check_topos_classifier():
     for p, q in ((cov02, cov02), (u, cov02), (cov02, u)):
         ex = exponential(p, q)
         for c in c4.objects:
-            want = len(fiber(p, c).objects) ** len(fiber(q, c).objects)
+            want = len(p.fibers[c]) ** len(q.fibers[c])
             got = sum(1 for o in ex.covering.total.objects
                       if ex.over(o) == c)
             if got != want:
@@ -373,7 +370,6 @@ def _check_boolean(lattice):
 
 
 def _discrete_cover(t1, n):
-    from .groupoid import FiniteGroupoid
     tot = FiniteGroupoid(n, tuple(range(n)), tuple(range(n)),
                          tuple(range(n)), {(i, i): i for i in range(n)},
                          tuple(range(n)),
@@ -393,18 +389,16 @@ def check_presheaf_round_trip():
     for cov in covers:
         ps = covering_to_presheaf(cov)
         back = presheaf_to_covering(ps)
-        if find_covering_isomorphism(cov, back) is None:
+        iso = find_covering_isomorphism(cov, back)
+        if iso is None:
             return False, "covering round trip failed"
         ps2 = covering_to_presheaf(back)
-        # natural isomorphism: per-object bijections commuting with all
-        # transports
+        # natural isomorphism: per-object bijections, induced by iso,
+        # commuting with all transports
         eta = {}
         for x in cov.base.objects:
             if len(ps.sets[x]) != len(ps2.sets[x]):
                 return False, "presheaf round trip changed a fiber size"
-            eta[x] = dict(zip(ps.sets[x], ps2.sets[x]))
-        iso = find_covering_isomorphism(cov, back)
-        for x in cov.base.objects:
             eta[x] = {v: iso.obj_map[v] for v in ps.sets[x]}
         for g in cov.base.arrows:
             c, d = cov.base.cod[g], cov.base.dom[g]

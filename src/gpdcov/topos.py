@@ -24,9 +24,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .covering import (Covering, GroupoidMorphism, check_covering,
-                       components, compose_morphisms, covering_morphisms,
-                       covering_of_lifts, fiber, fiber_transport, monodromy)
+from .covering import (Covering, GroupoidMorphism, components,
+                       compose_morphisms, covering_morphisms,
+                       covering_of_lifts, fiber_transport, monodromy,
+                       verified_covering)
 from .groupoid import FiniteGroupoid, component_subgroupoid
 
 
@@ -146,19 +147,10 @@ class SubobjectLattice:
         total = self.covering.total
         objs = sorted(
             x for i in node for x in self.component_blocks[i])
-        if not objs:
-            empty = FiniteGroupoid(0, (), (), (), {}, ())
-            incl = GroupoidMorphism(empty, total, (), ())
-            proj = GroupoidMorphism(empty, self.covering.base, (), ())
-            cov = check_covering(proj)
-            return cov, incl
         sub, obj_ids, arr_ids = component_subgroupoid(total, objs)
         incl = GroupoidMorphism(sub, total, obj_ids, arr_ids)
-        proj = compose_morphisms(self.covering.morphism, incl)
-        cov = check_covering(proj)
-        if not isinstance(cov, Covering):
-            raise TheoremViolation(
-                f"component union is not a covering: {cov.message}")
+        cov = verified_covering(
+            compose_morphisms(self.covering.morphism, incl), "component union")
         return cov, incl
 
 
@@ -219,8 +211,7 @@ def exponential(p: Covering, q: Covering) -> ExponentialCovering:
     if p.base != q.base:
         raise ValueError("coverings must share a base")
     base = p.base
-    p_fibers = {c: fiber(p, c).objects for c in base.objects}
-    q_fibers = {c: fiber(q, c).objects for c in base.objects}
+    p_fibers, q_fibers = p.fibers, q.fibers
     objects = []
     for c in base.objects:
         for assignment in itertools.product(p_fibers[c],
@@ -266,7 +257,7 @@ def group_action_on_exponential(expo: ExponentialCovering, g: int,
     act_q = monodromy(expo.second, c)
     kg = act_p.group.index_by_arrow[g]
     kg_inv = act_p.group.inverse(kg)
-    q_fiber = fiber(expo.second, c).objects
+    q_fiber = expo.second.fibers[c]
     amap = dict(zip(q_fiber, expo.assignment(obj)))
     new_assignment = tuple(
         act_p.act(amap[act_q.act(x, kg_inv)], kg) for x in q_fiber)
@@ -320,7 +311,7 @@ def covering_to_presheaf(p: Covering) -> Presheaf:
     """Fiber objects with transport: F(x) = Ob(fiber over x), F(g) the
     object part of the transport along g."""
     base = p.base
-    sets = tuple(fiber(p, x).objects for x in base.objects)
+    sets = p.fibers
     maps = {g: dict(fiber_transport(p, g).obj_map) for g in base.arrows}
     ps = Presheaf(base, sets, maps)
     ps.validate()
@@ -367,7 +358,7 @@ def adjunction_check(r: Covering, p: Covering, q: Covering,
     lhs = covering_morphisms(prod.covering, q, cap=cap)
     rhs = covering_morphisms(r, expo.covering, cap=cap)
 
-    p_fibers = {c: fiber(p, c).objects for c in base.objects}
+    p_fibers = p.fibers
     # product pairs are (object of total(p), object of total(r))
     pair_index = {pair: i for i, pair in enumerate(prod.obj_pairs)}
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from .errors import TheoremViolation
 from .covering import (Covering, GroupoidMorphism, compose_morphisms,
-                       fiber, lift_morphism, monodromy, pushforward_vertex)
-from .groupoid import is_connected, vertex_group
-from .groups import FiniteGroup, Subgroup
+                       lift_morphism, monodromy, pushforward_vertex)
+from .groupoid import is_connected
+from .groups import FiniteGroup, Subgroup, is_isomorphic
 
 
 class CovGroup:
@@ -120,11 +120,11 @@ def covering_transformations(p: Covering) -> CovGroup:
     if not (is_connected(p.total) and is_connected(p.base)):
         raise ValueError("covering transformations require a connected "
                          "covering")
-    marked = p.marked_object if p.marked_object is not None else 0
+    marked = p.mark
     base_obj = p.morphism.obj_map[marked]
     marked_push = {p.morphism.arr_map[a] for a in p.total.loops(marked)}
     found = []
-    for cand in fiber(p, base_obj).objects:
+    for cand in p.fibers[base_obj]:
         push = {p.morphism.arr_map[a] for a in p.total.loops(cand)}
         if push != marked_push:
             continue
@@ -145,12 +145,10 @@ def is_regular(p: Covering) -> bool:
     transitivity of the covering transformations on a fiber."""
     if not (is_connected(p.total) and is_connected(p.base)):
         raise ValueError("regularity is defined for connected coverings")
-    marked = p.marked_object if p.marked_object is not None else 0
-    via_normality = pushforward_vertex(p, marked).is_normal()
+    via_normality = pushforward_vertex(p, p.mark).is_normal()
     cov = covering_transformations(p)
-    fib = fiber(p, cov.base_object)
     images = {t.obj_map[cov.marked] for t in cov.transformations}
-    via_transitivity = images == set(fib.objects)
+    via_transitivity = images == set(p.fibers[cov.base_object])
     if via_normality != via_transitivity:
         raise TheoremViolation(
             f"regularity checks disagree: normality={via_normality}, "
@@ -179,7 +177,7 @@ def cov_normalizer_iso(p: Covering, at=None) -> NormalizerIso:
     if not (is_connected(p.total) and is_connected(p.base)):
         raise ValueError("requires a connected covering")
     if at is None:
-        at = p.marked_object if p.marked_object is not None else 0
+        at = p.mark
     push = pushforward_vertex(p, at)
     norm = push.normalizer()
     norm_group = norm.as_group()
@@ -222,15 +220,13 @@ def principal_action_check(p: Covering) -> bool:
     if not is_regular(p):
         raise ValueError("principality is defined for regular coverings")
     cov = covering_transformations(p)
-    fib = fiber(p, cov.base_object).objects
     images = {t.obj_map[cov.marked] for t in cov.transformations}
-    transitive = images == set(fib)
+    transitive = images == set(p.fibers[cov.base_object])
     free = all(
         all(t.obj_map[x] != x for x in p.total.objects)
         for i, t in enumerate(cov.transformations)
         if i != cov.group.identity)
     push = pushforward_vertex(p, cov.marked)
-    from .groups import is_isomorphic
     quotient_ok = is_isomorphic(push.quotient(), cov.group)
     if not quotient_ok:
         raise TheoremViolation(
@@ -253,8 +249,7 @@ def induced_f_sharp(f: GroupoidMorphism, f_tilde: GroupoidMorphism,
     for name, cov in (("source", q), ("target", p)):
         if not (is_connected(cov.total) and is_connected(cov.base)):
             raise ValueError(f"{name} covering is not connected")
-        marked = cov.marked_object if cov.marked_object is not None else 0
-        if len(cov.total.loops(marked)) != 1:
+        if len(cov.total.loops(cov.mark)) != 1:
             raise ValueError(f"{name} covering is not universal")
     if compose_morphisms(p.morphism, f_tilde) != \
             compose_morphisms(f, q.morphism):
@@ -263,9 +258,8 @@ def induced_f_sharp(f: GroupoidMorphism, f_tilde: GroupoidMorphism,
     cov_p = covering_transformations(p)
     g = cov_q.transformations[g_index]
     rhs = compose_morphisms(f_tilde, g)
-    probe = q.marked_object if q.marked_object is not None else 0
     idx = cov_p.index_by_object_image(
-        f_tilde.obj_map[probe], rhs.obj_map[probe])
+        f_tilde.obj_map[q.mark], rhs.obj_map[q.mark])
     if idx is None:
         raise TheoremViolation("no covering transformation covers f∘g")
     t = cov_p.transformations[idx]

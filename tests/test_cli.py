@@ -279,3 +279,22 @@ def test_from_presheaf_accepts_the_well_typed_document(capsys, tmp_path):
     code, out, err = run_err(capsys, "from-presheaf", ok)
     assert code == 0 and err == ""
     assert json.loads(out)["source"]["objects"] == ["*·a"]
+
+
+def test_covering_document_errors_exit_2(capsys, tmp_path):
+    cover = tmp_path / "cover.json"
+    assert run(capsys, "build-cover", FIXTURES / "s3.json",
+               "--subgroup", "(12)", "--out", cover)[0] == 0
+    doc = json.loads(cover.read_text(encoding="utf-8"))
+    doc["marked_object"] = "nowhere"
+    unknown = tmp_path / "unknown-mark.json"
+    unknown.write_text(json.dumps(doc), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    for path, message in ((unknown, "/marked_object: unknown object"),
+                          (bad, "invalid JSON")):
+        for cmd in ("fold", "regular", "normalizer-iso"):
+            code = main([cmd, str(path)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert message in captured.err

@@ -6,8 +6,9 @@ from gpdcov import (Covering, CoveringFailure, FiniteGroup,
                     equivalent_coverings, fiber, fiber_transport, fold,
                     group_groupoid, is_weak_equivalence, lift_arrow,
                     lift_morphism, monodromy, omega, pushforward_vertex,
-                    require_covering, vertex_group)
+                    require_covering, verified_covering, vertex_group)
 from gpdcov.covering import find_covering_isomorphism
+from gpdcov.errors import TheoremViolation
 
 
 def test_identity_is_covering(c4):
@@ -284,3 +285,53 @@ def test_pushforward_injectivity_guard(c4, t1):
     from gpdcov.errors import TheoremViolation
     with pytest.raises(TheoremViolation):
         pushforward_vertex(fake, 0)
+
+
+# -- the read-only Covering and its checked constructor ----------------------
+
+COVERING_ATTRIBUTES = ("morphism", "witnesses", "marked_object", "mark",
+                       "fibers")
+
+
+@pytest.mark.parametrize("name", COVERING_ATTRIBUTES + ("extra",))
+def test_covering_attributes_are_read_only(cov02, name):
+    with pytest.raises(AttributeError):
+        setattr(cov02, name, 0)
+    if name != "extra":
+        with pytest.raises(AttributeError):
+            delattr(cov02, name)
+
+
+def test_mark_defaults_to_zero(c4, cov02):
+    idc = require_covering(GroupoidMorphism.identity(c4))
+    assert idc.marked_object is None and idc.mark == 0
+    assert cov02.marked_object is not None
+    assert cov02.mark == cov02.marked_object
+    marked = require_covering(GroupoidMorphism.identity(c4), 0)
+    assert marked.marked_object == 0 and marked.mark == 0
+
+
+def test_verified_covering_returns_the_marked_covering(c4):
+    om = omega(c4)
+    out = verified_covering(om.covering.morphism, "classifier", 1)
+    assert isinstance(out, Covering)
+    assert out.marked_object == 1 and out.mark == 1
+    assert out.witnesses == om.covering.witnesses
+    assert out.fibers == ((0, 1),)
+
+
+def test_verified_covering_names_a_nonfunctorial_morphism(c4):
+    bad = GroupoidMorphism(c4, c4, (0,), (0, 2, 1, 3))
+    with pytest.raises(TheoremViolation,
+                       match="^twisted map failed the covering check: "
+                             "morphism is not functorial"):
+        verified_covering(bad, "twisted map")
+
+
+def test_verified_covering_names_a_failed_star_check(i2, t1):
+    collapse = GroupoidMorphism(i2, t1, (0, 0), (0, 0, 0, 0))
+    assert isinstance(check_covering(collapse), CoveringFailure)
+    with pytest.raises(TheoremViolation,
+                       match="^collapse failed the covering check: star "
+                             "map not injective"):
+        verified_covering(collapse, "collapse")

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from gpdcov import validate, vertex_group
+from gpdcov import omega, require_covering, validate, vertex_group
 from gpdcov.documents import (DocumentError, dumps, emit_covering,
                               emit_groupoid, emit_morphism, emit_presheaf,
-                              parse_groupoid, parse_morphism,
+                              load_covering, parse_groupoid, parse_morphism,
                               parse_presheaf)
 from gpdcov.topos import covering_to_presheaf
 
@@ -93,6 +93,17 @@ def test_morphism_round_trip(cov02):
     assert m.obj_map == cov02.morphism.obj_map
     assert m.arr_map == cov02.morphism.arr_map
     assert doc["marked_object"] == "[0]"
+
+
+def test_load_covering_keeps_the_mark(c4, tmp_path):
+    for mark in (None, 1):
+        cov = require_covering(omega(c4).covering.morphism, mark)
+        path = tmp_path / f"omega-{mark}.json"
+        path.write_text(dumps(emit_covering(cov)), encoding="utf-8")
+        back = load_covering(str(path))
+        assert back.marked_object == mark
+        assert back.mark == (mark or 0)
+        assert back.fibers == cov.fibers == ((0, 1),)
 
 
 def test_morphism_functoriality_checked_on_load(i2):

@@ -8,8 +8,11 @@ case depends only on recorded bytes.  The same mechanism chains the
 covering constructions: ``build-cover`` outputs feed ``expo``,
 ``pullback`` (along the morphism documents ``square-c4.json`` and
 ``c2-into-s3.json`` kept beside the golden files, and the ``id_c4``
-fixture), ``adjunction`` and ``to-presheaf``, whose outputs in turn feed
-``from-presheaf``.
+fixture), ``adjunction``, ``to-presheaf`` (whose outputs in turn feed
+``from-presheaf``), ``normalizer-iso``, ``pushout``, ``fiber``,
+``monodromy``, ``fold``, ``equiv`` and ``subobjects``.  ``orbit`` reads
+``cov-action-universal-c4.json``, also kept beside the golden files: the
+covering-transformation action of C4 on the total of its universal cover.
 
 To record the golden files from the current sources (only when a change of
 output is intended), run from the repository root:
@@ -90,6 +93,24 @@ def _construction_cases():
                          ("s3", ("s3-12", "s3-12", "s3-12"))):
         cases[f"adjunction-{name}"] = ["adjunction"] + [
             f"{g}{_cover_case(c)}" for c in covers]
+    for cover in ("s3-12", "universal-s3"):
+        cases[f"normalizer-iso-{cover}"] = [
+            "normalizer-iso", f"{g}{_cover_case(cover)}"]
+    cases["normalizer-iso-from-presheaf-c4-2"] = [
+        "normalizer-iso", f"{g}from-presheaf-c4-2"]
+    for cover in ("universal-c4", "universal-s3"):
+        cases[f"pushout-{cover}-{cover}"] = ["pushout"] + [f"{g}{cover}"] * 2
+    s3_12 = f"{g}build-cover-s3-12"
+    cases["fiber-s3-12"] = ["fiber", s3_12, "--object", "*"]
+    cases["monodromy-s3-12"] = ["monodromy", s3_12]
+    cases["fold-s3-12"] = ["fold", s3_12]
+    cases["equiv-c4-2-from-presheaf-c4-2"] = [
+        "equiv", f"{g}build-cover-c4-2", f"{g}from-presheaf-c4-2"]
+    cases["equiv-c4-2-universal-c4"] = [
+        "equiv", f"{g}build-cover-c4-2", f"{g}universal-c4"]
+    cases["subobjects-c4-2"] = ["subobjects", f"{g}build-cover-c4-2"]
+    cases["orbit-cov-action-universal-c4"] = [
+        "orbit", "--action", str(GOLDEN / "cov-action-universal-c4.json")]
     return cases
 
 

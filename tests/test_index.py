@@ -206,6 +206,15 @@ def test_index_matches_scans(name):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
+def test_components_match_hom_scan_and_are_kept(name):
+    g = CORPUS[name]
+    blocks = sorted({tuple(y for y in g.objects if g.hom(x, y))
+                     for x in g.objects})
+    assert components(g).blocks == tuple(blocks)
+    assert components(g) is components(g)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
 def test_validate_matches_reference_on_groupoids(name):
     g = CORPUS[name]
     report = validate(g)

@@ -17,7 +17,7 @@ from gpdcov import (Covering, FiniteGroup, FiniteGroupoid, GroupoidMorphism,
                     TheoremViolation, all_morphisms, check_covering,
                     covering_from_subgroup, covering_to_presheaf,
                     disjoint_union, exponential, fiber, fiber_transport,
-                    group_groupoid, is_connected, omega,
+                    fold, group_groupoid, is_connected, omega,
                     pullback_covering, require_covering, universal_cover,
                     vertex_group)
 from gpdcov.classify import PullbackCovering
@@ -91,11 +91,10 @@ def reference_covering_from_subgroup(g, g0, gamma):
         total, g,
         tuple(g.cod[c[0]] for c in cosets),
         tuple(barr for _, barr in arrows))
-    cov = check_covering(proj)
+    cov = check_covering(proj, coset_of[g.identity[g0]])
     if not isinstance(cov, Covering):
         raise TheoremViolation(
             f"coset construction failed the covering check: {cov.message}")
-    cov.marked_object = coset_of[g.identity[g0]]
     return cov
 
 
@@ -301,6 +300,18 @@ def assert_same_covering(got, want):
     assert_same_morphism(got.morphism, want.morphism)
     assert got.witnesses == want.witnesses
     assert got.marked_object == want.marked_object
+    assert_fibers_match_scan(got)
+
+
+def assert_fibers_match_scan(cov):
+    """``fibers[y]`` against a scan of the object map; over a connected
+    base, the fold is the size of the first fiber."""
+    obj_map = cov.morphism.obj_map
+    assert cov.fibers == tuple(
+        tuple(x for x in cov.total.objects if obj_map[x] == y)
+        for y in cov.base.objects)
+    if is_connected(cov.base) and cov.total.n_objects:
+        assert fold(cov) == len(cov.fibers[0])
 
 
 # -- inputs: the generated groupoids and coverings of them -----------------
