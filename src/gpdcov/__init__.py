@@ -6,8 +6,9 @@ from .groups import (FiniteGroup, Subgroup, all_homomorphisms,
 from .groupoid import (FiniteGroupoid, Partition, Star, ValidationReport,
                        VertexGroup, Violation, codiscrete_groupoid,
                        component_subgroupoid, components, disjoint_union,
-                       group_groupoid, is_connected, opposite, star,
-                       subgroupoid, trivial_groupoid, validate, vertex_group)
+                       group_groupoid, is_connected, opposite, partition,
+                       star, subgroupoid, trivial_groupoid, validate,
+                       vertex_group)
 from .covering import (Covering, CoveringFailure, EquivalencePair, Fiber,
                        FiberTransport, GroupoidMorphism, MonodromyAction,
                        all_morphisms, check_covering, compose_morphisms,
@@ -23,7 +24,8 @@ from .transform import (CovGroup, NormalizerIso, cov_normalizer_iso,
                         is_regular, principal_action_check)
 from .construct import (GroupAction, OrbitGroupoid, QuotientComparison,
                         covering_from_subgroup, orbit_groupoid,
-                        quotient_comparison, universal_cover)
+                        quotient_comparison, quotient_covering,
+                        universal_cover)
 from .classify import (CoveringClass, FiberedProduct, GaloisLattice,
                        PullbackCovering, PushoutResult, build_lattice,
                        classify_covering, fibered_product, meet_covering,

@@ -16,7 +16,10 @@ naming the clause, because each of these is a theorem.
 Naming note: on the subgroup side, meet = intersection and join =
 generated subgroup.  Geometrically the meet corresponds to the marked
 component of the fibered product over G, and the join to the pushout
-under the universal cover.
+under the universal cover.  The orbit morphism of Π identifies the
+Π-orbits, so the pushout of two of them identifies what either
+identifies: it is built by joining their partitions of total(u), with no
+group of transformations in between.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from .covering import (Covering, GroupoidMorphism, components,
                        compose_morphisms, covering_of_lifts,
                        equivalent_coverings, factor_through, fold,
                        lift_morphism, verified_covering)
-from .construct import (GroupAction, OrbitGroupoid, orbit_groupoid,
+from .construct import (OrbitGroupoid, orbit_groupoid, quotient_covering,
                         universal_cover)
 from .groupoid import (FiniteGroupoid, component_subgroupoid, is_connected,
-                       vertex_group)
-from .groups import FiniteGroup, Subgroup, find_isomorphism
+                       partition, vertex_group)
+from .groups import Subgroup, find_isomorphism
 from .transform import covering_transformations, is_regular
 
 
@@ -103,7 +106,8 @@ def fibered_product(p: Covering, q: Covering) -> FiberedProduct:
 
 @dataclass(frozen=True)
 class PushoutResult:
-    """Quotient of a common universal total by the group generated by two
+    """Quotient of a common universal total by the join of two orbit
+    partitions, which are the orbits of the group generated by both
     covering-transformation groups, with the induced maps from both
     quotients."""
     orbit_covering: Covering      # universal total -> pushout quotient
@@ -124,47 +128,44 @@ def _induced_on_quotient(src_cov: Covering, dst_cov: Covering):
 
 
 def pushout_covering(p_orbit: Covering, q_orbit: Covering) -> PushoutResult:
-    """Pushout of two orbit morphisms out of the same universal total:
-    the quotient by the group generated by both transformation groups."""
-    if p_orbit.total != q_orbit.total:
+    """Pushout of two orbit morphisms out of the same universal total U.
+
+    Each is the quotient of U by its covering transformations, so the
+    pushout identifies exactly what either one identifies: U's objects and
+    arrows are partitioned by "same image under either projection" and
+    quotiented by :func:`quotient_covering`.  The legs are the induced
+    maps from both quotients.
+    """
+    u = p_orbit.total
+    if u != q_orbit.total:
         raise ValueError("orbit morphisms must share their source")
-    if not is_connected(p_orbit.total) \
-            or len(p_orbit.total.loops(0)) != 1:
+    if not is_connected(u) or len(u.loops(0)) != 1:
         raise ValueError("pushout requires orbit morphisms from a "
                          "universal (connected, simply connected) total")
-    cov_p = covering_transformations(p_orbit)
-    cov_q = covering_transformations(q_orbit)
-    # close the union of the two automorphism sets under composition
-    gens = list(cov_p.transformations) + list(cov_q.transformations)
-    closed = {}
-    for t in gens:
-        closed[(t.obj_map, t.arr_map)] = t
-    frontier = list(closed.values())
-    while frontier:
-        nxt = []
-        for t1 in gens:
-            for t2 in frontier:
-                c = compose_morphisms(t1, t2)
-                key = (c.obj_map, c.arr_map)
-                if key not in closed:
-                    closed[key] = c
-                    nxt.append(c)
-        frontier = nxt
-    morphs = sorted(closed.values(), key=lambda t: t.obj_map)
-    pos = {t.obj_map: i for i, t in enumerate(morphs)}
-    table = tuple(
-        tuple(pos[compose_morphisms(t1, t2).obj_map] for t2 in morphs)
-        for t1 in morphs)
-    group = FiniteGroup(table)
-    action = GroupAction(group, p_orbit.total,
-                         tuple(t.obj_map for t in morphs),
-                         tuple(t.arr_map for t in morphs))
-    orb = orbit_groupoid(action)
+    p, q = p_orbit.morphism, q_orbit.morphism
+    objs = partition(u.n_objects, _same_image_pairs(p.obj_map, q.obj_map))
+    arrs = partition(u.n_arrows, _same_image_pairs(p.arr_map, q.arr_map))
+    # Both transformation groups together act freely iff every arrow
+    # block is as large as the object block of its domain.
+    if any(len(blk) != len(objs.blocks[objs.index[u.dom[blk[0]]]])
+           for blk in arrs.blocks):
+        raise ValueError("pushout requires orbit morphisms whose "
+                         "transformations act freely together")
+    orbit = quotient_covering(u, objs, arrs, "pushout orbit morphism")
     return PushoutResult(
-        orbit_covering=orb.covering,
-        quotient=orb.quotient,
-        leg_first=_induced_on_quotient(p_orbit, orb.covering),
-        leg_second=_induced_on_quotient(q_orbit, orb.covering))
+        orbit_covering=orbit,
+        quotient=orbit.base,
+        leg_first=_induced_on_quotient(p_orbit, orbit),
+        leg_second=_induced_on_quotient(q_orbit, orbit))
+
+
+def _same_image_pairs(*maps):
+    """Pairs (x, y) joining each x to the least y that one of the maps
+    sends to the same image."""
+    for images in maps:
+        first = {}
+        for x, v in enumerate(images):
+            yield x, first.setdefault(v, x)
 
 
 class CoveringClass:
@@ -284,10 +285,9 @@ def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:
     pair = (b.orbit.projection.obj_map[marked],
             a.orbit.projection.obj_map[marked])
     marked_obj = prod.obj_pairs.index(pair)
-    blocks = components(prod.covering.total).blocks
-    block = next(blk for blk in blocks if marked_obj in blk)
+    parts = components(prod.covering.total)
     comp, obj_ids, arr_ids = component_subgroupoid(
-        prod.covering.total, block)
+        prod.covering.total, parts.blocks[parts.index[marked_obj]])
     incl_obj = {v: i for i, v in enumerate(obj_ids)}
     proj = GroupoidMorphism(
         comp, lat.base,

@@ -9,9 +9,10 @@ Those arrows are the lifts handed to
 inverses and composition by unique lifting and re-verifies the covering
 property; the pushforward is re-verified too — never assumed.
 
-Orbit groupoids quotient a groupoid by a free group action: objects and
-arrows become orbits, and composition aligns representatives through the
-unique group element matching their endpoints.
+Every quotient is built by :func:`quotient_covering` from partitions of a
+groupoid's objects and arrows: blocks become ids, and two arrow blocks
+compose through the member of one that starts where a member of the other
+ends.  Orbit groupoids quotient by the orbits of a free group action.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 from .errors import NonFreeActionError, TheoremViolation
 from .covering import (Covering, GroupoidMorphism, compose_morphisms,
                        covering_of_lifts, factor_through, verified_covering)
-from .groupoid import FiniteGroupoid, is_connected, vertex_group
+from .groupoid import (FiniteGroupoid, Partition, is_connected,
+                       partition, vertex_group)
 from .groups import FiniteGroup, Subgroup
 from .transform import CovGroup, covering_transformations, is_regular
 
@@ -106,29 +108,62 @@ class OrbitGroupoid:
     arr_orbits: tuple
 
 
-def _orbits(maps, count):
-    seen = [False] * count
-    blocks = []
-    index = [0] * count
-    for x in range(count):
-        if seen[x]:
-            continue
-        orbit = sorted({row[x] for row in maps})
-        for y in orbit:
-            seen[y] = True
-            index[y] = len(blocks)
-        blocks.append(tuple(orbit))
-    return tuple(blocks), tuple(index)
+def quotient_covering(space: FiniteGroupoid, objs: Partition,
+                      arrs: Partition, what: str,
+                      marked_object=None) -> Covering:
+    """The covering space -> quotient that sends each object and arrow to
+    its block of ``objs`` and ``arrs``, verified under the name ``what``.
+
+    Block i is object or arrow i of the quotient, labelled by its least
+    member's label in brackets.  The composite i∘j of two arrow blocks takes
+    a member of j and the member of i that starts where it ends; a block
+    with two members out of one object, or with none out of an object
+    where one is needed, raises :class:`TheoremViolation` naming ``what``.
+    """
+    dom, cod = space.dom, space.cod
+    # out_of[i][x]: the member of arrow block i that starts at object x
+    out_of = [{dom[a]: a for a in blk} for blk in arrs.blocks]
+    for i, starts in enumerate(out_of):
+        if len(starts) != len(arrs.blocks[i]):
+            raise TheoremViolation(
+                f"{what}: arrow block {i} has two members out of one object")
+    q_dom = tuple(objs.index[dom[blk[0]]] for blk in arrs.blocks)
+    q_cod = tuple(objs.index[cod[blk[0]]] for blk in arrs.blocks)
+    into = [[] for _ in objs.blocks]  # arrow blocks by codomain block
+    for j, c in enumerate(q_cod):
+        into[c].append(j)
+    compose = {}
+    for i, starts in enumerate(out_of):
+        for j in into[q_dom[i]]:
+            b = arrs.blocks[j][0]
+            a = starts.get(cod[b])
+            if a is None:
+                raise TheoremViolation(
+                    f"{what}: arrow block {i} has no member out of "
+                    f"object {cod[b]}")
+            compose[(i, j)] = arrs.index[space.compose[(a, b)]]
+    quotient = FiniteGroupoid(
+        len(objs), q_dom, q_cod,
+        tuple(arrs.index[space.identity[blk[0]]] for blk in objs.blocks),
+        compose,
+        tuple(arrs.index[space.inverse[blk[0]]] for blk in arrs.blocks),
+        obj_labels=tuple("[" + space.obj_labels[blk[0]] + "]"
+                         for blk in objs.blocks),
+        arr_labels=tuple("[" + space.arr_labels[blk[0]] + "]"
+                         for blk in arrs.blocks))
+    return verified_covering(
+        GroupoidMorphism(space, quotient, objs.index, arrs.index), what,
+        marked_object)
 
 
 def orbit_groupoid(action: GroupAction,
                    marked_object=None) -> OrbitGroupoid:
     """Quotient the space by a free action of the group.
 
-    Objects/arrows of the quotient are orbits; composition of two arrow
-    orbits picks the unique group element aligning the representatives'
-    endpoints.  The orbit morphism is verified to be a covering
-    projection, marked at ``marked_object`` of the space.
+    Objects/arrows of the quotient are orbits, partitioned from the
+    action's maps and quotiented by :func:`quotient_covering`; the orbit
+    morphism is verified to be a covering projection, marked at
+    ``marked_object`` of the space.
     """
     fp = action.fixed_point()
     if fp is not None:
@@ -136,46 +171,15 @@ def orbit_groupoid(action: GroupAction,
     sp = action.space
     if not is_connected(sp):
         raise ValueError("orbit groupoid requires a connected space")
-    obj_blocks, obj_index = _orbits(action.obj_maps, sp.n_objects)
-    arr_blocks, arr_index = _orbits(action.arr_maps, sp.n_arrows)
-
-    # With a free action, each ordered object pair has at most one aligner.
-    aligner = {}
-    for k in range(action.group.order):
-        for x in sp.objects:
-            aligner[(x, action.obj_maps[k][x])] = k
-
-    n_q = len(obj_blocks)
-    dom = tuple(obj_index[sp.dom[blk[0]]] for blk in arr_blocks)
-    cod = tuple(obj_index[sp.cod[blk[0]]] for blk in arr_blocks)
-    identity = tuple(arr_index[sp.identity[blk[0]]] for blk in obj_blocks)
-    inverse = tuple(arr_index[sp.inverse[blk[0]]] for blk in arr_blocks)
-    into = [[] for _ in obj_blocks]  # arrow orbits by codomain orbit
-    for j, c in enumerate(cod):
-        into[c].append(j)
-    compose = {}
-    for i, iblk in enumerate(arr_blocks):
-        a = iblk[0]
-        for j in into[dom[i]]:
-            b = arr_blocks[j][0]
-            k = aligner.get((sp.dom[a], sp.cod[b]))
-            if k is None:
-                raise TheoremViolation(
-                    "orbit composition has no aligning element")
-            compose[(i, j)] = arr_index[
-                sp.compose_arrows(action.arr_maps[k][a], b)]
-    quotient = FiniteGroupoid(
-        n_q, dom, cod, identity, compose, inverse,
-        obj_labels=tuple("[" + sp.obj_labels[blk[0]] + "]"
-                         for blk in obj_blocks),
-        arr_labels=tuple("[" + sp.arr_labels[blk[0]] + "]"
-                         for blk in arr_blocks))
-    projection = GroupoidMorphism(sp, quotient, obj_index, arr_index)
-    out = verified_covering(projection, "orbit morphism of a free action",
-                            marked_object)
-    return OrbitGroupoid(action=action, quotient=quotient,
-                         projection=projection, covering=out,
-                         obj_orbits=obj_blocks, arr_orbits=arr_blocks)
+    objs = partition(sp.n_objects, ((x, row[x]) for row in action.obj_maps
+                                    for x in sp.objects))
+    arrs = partition(sp.n_arrows, ((a, row[a]) for row in action.arr_maps
+                                   for a in sp.arrows))
+    out = quotient_covering(sp, objs, arrs,
+                            "orbit morphism of a free action", marked_object)
+    return OrbitGroupoid(action=action, quotient=out.base,
+                         projection=out.morphism, covering=out,
+                         obj_orbits=objs.blocks, arr_orbits=arrs.blocks)
 
 
 def covering_from_subgroup(g: FiniteGroupoid, g0: int,

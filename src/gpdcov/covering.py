@@ -231,6 +231,12 @@ def check_covering(f: GroupoidMorphism, marked_object=None):
     bad = f.functoriality_violations()
     if bad:
         raise ValueError("morphism is not functorial: " + "; ".join(bad))
+    return _star_check(f, marked_object)
+
+
+def _star_check(f: GroupoidMorphism, marked_object=None):
+    """The star-bijection half of :func:`check_covering`, for a morphism
+    already known to be functorial."""
     src, dst = f.source, f.target
     stars_dst = dst._into
     witnesses = []
@@ -717,24 +723,6 @@ class EquivalencePair:
     psi: GroupoidMorphism
 
 
-def _seeded_iso_over(p: Covering, f: GroupoidMorphism):
-    """An isomorphism g: f.source -> total(p) with p∘g = f, found by
-    seeding unique lifting at every fiber object with matching loop-image
-    group; None when no seed works."""
-    src = f.source
-    root = 0
-    base_pt = f.obj_map[root]
-    loop_imgs = {f.arr_map[a] for a in src.loops(root)}
-    for cand in p.fibers[base_pt]:
-        cand_imgs = {p.morphism.arr_map[a] for a in p.total.loops(cand)}
-        if loop_imgs != cand_imgs:
-            continue
-        g = lift_morphism(p, f, root, cand)
-        if g is not None and g.is_bijective():
-            return g
-    return None
-
-
 def equivalent_coverings(p: Covering, q: Covering, fixed_base: bool = True):
     """Search for an equivalence pair (phi, psi) with p∘phi = psi∘q, where
     phi: total(q) -> total(p) and psi: base(q) -> base(p).
@@ -752,12 +740,12 @@ def equivalent_coverings(p: Covering, q: Covering, fixed_base: bool = True):
     if fixed_base:
         if p.base != q.base:
             raise ValueError("fixed-base equivalence requires equal bases")
-        phi = _seeded_iso_over(p, q.morphism)
+        phi = _iso_over(q.morphism, p)
         if phi is None:
             return None
         return EquivalencePair(phi, GroupoidMorphism.identity(p.base))
     for psi in groupoid_isomorphisms(q.base, p.base):
-        phi = _seeded_iso_over(p, compose_morphisms(psi, q.morphism))
+        phi = _iso_over(compose_morphisms(psi, q.morphism), p)
         if phi is not None:
             return EquivalencePair(phi, psi)
     return None
@@ -772,47 +760,52 @@ def find_covering_isomorphism(p: Covering, q: Covering):
     if p.total.n_objects != q.total.n_objects \
             or p.total.n_arrows != q.total.n_arrows:
         return None
-    p_parts = components(p.total).blocks
-    q_parts = components(q.total).blocks
+    return _iso_over(p.morphism, q)
 
-    def block_pieces(block):
+
+def _iso_over(f: GroupoidMorphism, q: Covering):
+    """An isomorphism g: f.source -> total(q) with q∘g = f, or None.
+
+    Each component of f.source is lifted at most once per component of
+    total(q) of its size, seeded at that component's first fiber object
+    whose loop images equal the component's own; the first assignment of
+    distinct target components, in ascending order, is glued.  A glued
+    lift that is not functorial or does not cover f raises
+    :class:`TheoremViolation`; a non-bijective one gives None.
+    """
+    src, total = f.source, q.total
+    q_parts = components(total)
+    options = []
+    for block in components(src).blocks:
         root = block[0]
-        base_pt = p.morphism.obj_map[root]
-        loop_imgs = {p.morphism.arr_map[a] for a in p.total.loops(root)}
-        found = []
-        for j, qblock in enumerate(q_parts):
-            if len(qblock) != len(block):
+        loop_imgs = {f.arr_map[a] for a in src.loops(root)}
+        pieces = {}
+        for cand in q.fibers[f.obj_map[root]]:
+            j = q_parts.index[cand]
+            if j in pieces or len(q_parts.blocks[j]) != len(block):
                 continue
-            for cand in qblock:
-                if q.morphism.obj_map[cand] != base_pt:
-                    continue
-                cand_imgs = {q.morphism.arr_map[a]
-                             for a in q.total.loops(cand)}
-                if loop_imgs != cand_imgs:
-                    continue
-                piece = _propagate_lift(q, p.morphism, block, root, cand)
-                found.append((j, piece))
-        return found
-
-    options = [block_pieces(block) for block in p_parts]
+            if {q.morphism.arr_map[a] for a in total.loops(cand)} \
+                    == loop_imgs:
+                pieces[j] = _propagate_lift(q, f, block, root, cand)
+        options.append(sorted(pieces.items()))
 
     def backtrack(i, used, acc):
-        if i == len(p_parts):
-            return list(acc)
+        if i == len(options):
+            return acc
         for j, piece in options[i]:
-            if j in used:
-                continue
-            got = backtrack(i + 1, used | {j}, acc + [piece])
-            if got is not None:
-                return got
+            if j not in used:
+                got = backtrack(i + 1, used | {j}, acc + [piece])
+                if got is not None:
+                    return got
         return None
 
     combo = backtrack(0, frozenset(), [])
     if combo is None:
         return None
-    phi = glue_morphism(p.total, q.total, combo)
-    if not (phi.is_bijective() and phi.is_functorial()):
-        return None
-    if compose_morphisms(q.morphism, phi) != p.morphism:
-        return None
-    return phi
+    g = glue_morphism(src, total, combo)
+    if not g.is_functorial():
+        raise TheoremViolation("glued lift is not functorial")
+    if compose_morphisms(q.morphism, g) != f:
+        raise TheoremViolation("glued lift does not cover the requested "
+                               "morphism")
+    return g if g.is_bijective() else None

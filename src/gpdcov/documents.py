@@ -35,7 +35,8 @@ import json
 import os
 
 from .construct import GroupAction
-from .covering import Covering, GroupoidMorphism, require_covering
+from .covering import (Covering, CoveringFailure, GroupoidMorphism,
+                       _star_check)
 from .groupoid import FiniteGroupoid, group_groupoid, validate
 from .groups import FiniteGroup
 from .topos import Presheaf
@@ -64,7 +65,8 @@ def parse_groupoid(doc, path: str = "") -> FiniteGroupoid:
         raise DocumentError(path or "/", "groupoid document must be an "
                             "object")
     if "group_table" in doc:
-        return _parse_group_table(doc, path)
+        return group_groupoid(_parse_group(doc, path),
+                              label=str(doc.get("object", "*")))
     objects = _need(doc, "objects", path, list)
     for i, name in enumerate(objects):
         if isinstance(name, (list, dict)):
@@ -129,12 +131,17 @@ def parse_groupoid(doc, path: str = "") -> FiniteGroupoid:
     return g
 
 
-def _parse_group_table(doc, path):
+def _parse_group(doc, path) -> FiniteGroup:
+    """The group of a ``group_table`` whose entries are element names or
+    indices, named by the optional ``elements`` list; shared by the
+    one-object shorthand and by action documents."""
     table = _need(doc, "group_table", path, list)
     n = len(table)
     elements = doc.get("elements")
     if elements is None:
         elements = [str(i) for i in range(n)]
+    if not isinstance(elements, list):
+        raise DocumentError(f"{path}/elements", "expected list")
     elements = [str(e) for e in elements]
     if len(elements) != n or len(set(elements)) != n:
         raise DocumentError(f"{path}/elements",
@@ -158,10 +165,9 @@ def _parse_group_table(doc, path):
                                     f"unknown element {v!r}")
         int_table.append(out)
     try:
-        group = FiniteGroup(int_table, names=elements)
+        return FiniteGroup(int_table, names=elements)
     except ValueError as exc:
         raise DocumentError(f"{path}/group_table", str(exc)) from None
-    return group_groupoid(group, label=str(doc.get("object", "*")))
 
 
 def _derive_identities(n_objects, dom, cod, compose, path):
@@ -312,34 +318,14 @@ def emit_covering(cov: Covering) -> dict:
 
 def parse_action(doc, base_dir: str = ".", path: str = ""):
     space = _resolve(doc, "space", path, base_dir)
-    table = _need(doc, "group_table", path, list)
-    elements = doc.get("elements")
-    n = len(table)
-    if elements is None:
-        elements = [str(i) for i in range(n)]
-    elements = [str(e) for e in elements]
-    index = {e: i for i, e in enumerate(elements)}
-    int_table = []
-    for i, row in enumerate(table):
-        out = []
-        for j, v in enumerate(row):
-            key = str(v)
-            if key not in index:
-                raise DocumentError(f"{path}/group_table/{i}/{j}",
-                                    f"unknown element {v!r}")
-            out.append(index[key])
-        int_table.append(out)
-    try:
-        group = FiniteGroup(int_table, names=elements)
-    except ValueError as exc:
-        raise DocumentError(f"{path}/group_table", str(exc)) from None
+    group = _parse_group(doc, path)
     maps = _need(doc, "maps", path, dict)
     sp_obj = {lbl: i for i, lbl in
               enumerate(_unique_labels(space.obj_labels))}
     sp_arr = {lbl: i for i, lbl in
               enumerate(_unique_labels(space.arr_labels))}
     obj_maps, arr_maps = [], []
-    for k, name in enumerate(elements):
+    for name in group.names:
         mpath = f"{path}/maps/{name}"
         if name not in maps:
             raise DocumentError(f"{path}/maps",
@@ -438,7 +424,8 @@ def load_morphism(fname: str) -> GroupoidMorphism:
 
 def load_covering(fname: str) -> Covering:
     """A morphism document that must be a covering, marked at its optional
-    ``marked_object``."""
+    ``marked_object``.  :func:`parse_morphism` has checked functoriality,
+    so only the star maps are checked here."""
     doc, base_dir = _read(fname)
     m = parse_morphism(doc, base_dir=base_dir)
     marked = doc.get("marked_object")
@@ -448,7 +435,10 @@ def load_covering(fname: str) -> Covering:
             raise DocumentError("/marked_object",
                                 f"unknown object {marked!r}")
         marked = labels.index(str(marked))
-    return require_covering(m, marked)
+    out = _star_check(m, marked)
+    if isinstance(out, CoveringFailure):
+        raise ValueError(out.message)
+    return out
 
 
 def load_action(fname: str):

@@ -16,8 +16,9 @@ in O(arrows): ``_into[x]`` and ``_out[x]`` hold the ids of the arrows into
 and out of x, in ascending order.  :func:`star` reads it in O(|star x|),
 ``hom(x, y)`` and ``loops`` in O(|star y|), and :func:`validate` costs
 O(arrows + composable pairs + composable triples) rather than a scan over
-all pairs or triples of arrows.  :func:`components` computes the
-partition into connected components on its first call and keeps it.
+all pairs or triples of arrows.  :func:`partition` is the package's one
+union-find; :func:`components` computes the partition into connected
+components with it on its first call and keeps it.
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -154,17 +155,45 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of the objects; blocks ordered by least member."""
+    """A partition of 0..n-1: ``blocks`` ordered by least member, each
+    ascending, and ``index[x]`` the block of x."""
     blocks: tuple
+    index: tuple
 
     def block_index(self, x: int) -> int:
-        for i, blk in enumerate(self.blocks):
-            if x in blk:
-                return i
-        raise ValueError(f"object {x} not in any block")
+        if not 0 <= x < len(self.index):
+            raise ValueError(f"object {x} not in any block")
+        return self.index[x]
 
     def __len__(self):
         return len(self.blocks)
+
+
+def partition(n: int, pairs) -> Partition:
+    """The finest partition of 0..n-1 in which each pair (x, y) shares a
+    block: a union-find whose roots are least members."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    blocks, index = [], []
+    for x in range(n):
+        r = find(x)  # the least member of the block of x, so r <= x
+        if r == x:
+            index.append(len(blocks))
+            blocks.append([x])
+        else:
+            index.append(index[r])
+            blocks[index[r]].append(x)
+    return Partition(tuple(map(tuple, blocks)), tuple(index))
 
 
 def validate(g: FiniteGroupoid) -> ValidationReport:
@@ -281,28 +310,8 @@ def components(g: FiniteGroupoid) -> Partition:
     transitive).  Computed on the first call and kept on the groupoid,
     whose dom/cod tables never change."""
     if g._components is None:
-        g._components = _union_find(g)
+        g._components = partition(g.n_objects, zip(g.dom, g.cod))
     return g._components
-
-
-def _union_find(g: FiniteGroupoid) -> Partition:
-    parent = list(range(g.n_objects))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in g.arrows:
-        ra, rb = find(g.dom[a]), find(g.cod[a])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    blocks = {}
-    for x in g.objects:
-        blocks.setdefault(find(x), []).append(x)
-    ordered = tuple(tuple(sorted(blocks[r])) for r in sorted(blocks))
-    return Partition(ordered)
 
 
 def is_connected(g: FiniteGroupoid) -> bool:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from .errors import TheoremViolation
 from .covering import (Covering, GroupoidMorphism, components,
                        compose_morphisms, covering_morphisms,
-                       covering_of_lifts, fiber_transport, monodromy,
-                       verified_covering)
+                       covering_of_lifts, monodromy, verified_covering)
 from .groupoid import FiniteGroupoid, component_subgroupoid
 
 
@@ -309,11 +308,11 @@ class Presheaf:
 
 def covering_to_presheaf(p: Covering) -> Presheaf:
     """Fiber objects with transport: F(x) = Ob(fiber over x), F(g) the
-    object part of the transport along g."""
-    base = p.base
-    sets = p.fibers
-    maps = {g: dict(fiber_transport(p, g).obj_map) for g in base.arrows}
-    ps = Presheaf(base, sets, maps)
+    object part of the transport along g, read off the lifts of g."""
+    base, dom = p.base, p.total.dom
+    maps = {g: {x: dom[p.lift(g, x)] for x in p.fibers[base.cod[g]]}
+            for g in base.arrows}
+    ps = Presheaf(base, p.fibers, maps)
     ps.validate()
     return ps
 

@@ -1,10 +1,21 @@
+from pathlib import Path
+
 import pytest
 
 from gpdcov import (GroupoidMorphism, build_lattice, classify_covering,
                     components, compose_morphisms, equivalent_coverings,
-                    fibered_product, meet_covering, pullback_covering,
-                    pushout_covering, trivial_groupoid, universal_cover,
-                    vertex_group)
+                    fibered_product, is_connected, meet_covering,
+                    pullback_covering, pushout_covering, trivial_groupoid,
+                    universal_cover, vertex_group)
+from gpdcov.classify import PushoutResult, _induced_on_quotient
+from gpdcov.construct import GroupAction, orbit_groupoid
+from gpdcov.documents import load_groupoid
+from gpdcov.groups import FiniteGroup
+from gpdcov.transform import covering_transformations
+
+from test_index import CORPUS
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +175,115 @@ def test_quotient_vertex_groups_match_subgroups(lat_s3):
         vg = vertex_group(node.covering.total,
                           node.covering.marked_object)
         assert find_isomorphism(vg, node.subgroup.as_group()) is not None
+
+
+# -- the closure-built pushout, verbatim ---------------------------------------
+
+def reference_pushout_covering(p_orbit, q_orbit):
+    """Pushout of two orbit morphisms out of the same universal total:
+    the quotient by the group generated by both transformation groups."""
+    if p_orbit.total != q_orbit.total:
+        raise ValueError("orbit morphisms must share their source")
+    if not is_connected(p_orbit.total) \
+            or len(p_orbit.total.loops(0)) != 1:
+        raise ValueError("pushout requires orbit morphisms from a "
+                         "universal (connected, simply connected) total")
+    cov_p = covering_transformations(p_orbit)
+    cov_q = covering_transformations(q_orbit)
+    # close the union of the two automorphism sets under composition
+    gens = list(cov_p.transformations) + list(cov_q.transformations)
+    closed = {}
+    for t in gens:
+        closed[(t.obj_map, t.arr_map)] = t
+    frontier = list(closed.values())
+    while frontier:
+        nxt = []
+        for t1 in gens:
+            for t2 in frontier:
+                c = compose_morphisms(t1, t2)
+                key = (c.obj_map, c.arr_map)
+                if key not in closed:
+                    closed[key] = c
+                    nxt.append(c)
+        frontier = nxt
+    morphs = sorted(closed.values(), key=lambda t: t.obj_map)
+    pos = {t.obj_map: i for i, t in enumerate(morphs)}
+    table = tuple(
+        tuple(pos[compose_morphisms(t1, t2).obj_map] for t2 in morphs)
+        for t1 in morphs)
+    group = FiniteGroup(table)
+    action = GroupAction(group, p_orbit.total,
+                         tuple(t.obj_map for t in morphs),
+                         tuple(t.arr_map for t in morphs))
+    orb = orbit_groupoid(action)
+    return PushoutResult(
+        orbit_covering=orb.covering,
+        quotient=orb.quotient,
+        leg_first=_induced_on_quotient(p_orbit, orb.covering),
+        leg_second=_induced_on_quotient(q_orbit, orb.covering))
+
+
+LATTICE_BASES = dict(
+    {f"fixture-{name}": load_groupoid(str(FIXTURES / f"{name}.json"))
+     for name in ("c4", "i2", "s3", "t1")},
+    **{name: g for name, g in CORPUS.items() if is_connected(g)})
+
+
+def assert_same_maps(got, want):
+    assert got.obj_map == want.obj_map and got.arr_map == want.arr_map
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_pushout_matches_closure_reference(name):
+    lat = build_lattice(LATTICE_BASES[name])
+    for a in lat.nodes:
+        for b in lat.nodes:
+            p, q = a.orbit.covering, b.orbit.covering
+            got = pushout_covering(p, q)
+            want = reference_pushout_covering(p, q)
+            quot = got.quotient
+            assert quot is got.orbit_covering.base
+            for attr in ("n_objects", "dom", "cod", "identity", "inverse",
+                         "compose", "obj_labels", "arr_labels"):
+                assert getattr(quot, attr) == getattr(want.quotient, attr)
+            assert_same_maps(got.orbit_covering.morphism,
+                             want.orbit_covering.morphism)
+            assert got.orbit_covering.witnesses == \
+                want.orbit_covering.witnesses
+            assert got.orbit_covering.marked_object == \
+                want.orbit_covering.marked_object
+            for leg, source in (("leg_first", p), ("leg_second", q)):
+                assert getattr(got, leg).source is source.base
+                assert getattr(got, leg).target is quot
+                assert_same_maps(getattr(got, leg), getattr(want, leg))
+
+
+def test_pushout_builds_no_transformation_group(lat_s3, monkeypatch):
+    """The pushout joins partitions: it enumerates no covering
+    transformations and composes no morphisms."""
+    import gpdcov.classify as classify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by pushout_covering")
+
+    for name in ("covering_transformations", "compose_morphisms",
+                 "orbit_groupoid"):
+        monkeypatch.setattr(classify, name, refuse)
+    a, b = lat_s3.nodes[1], lat_s3.nodes[2]
+    push = pushout_covering(a.orbit.covering, b.orbit.covering)
+    assert push.quotient.n_objects == 1
+
+
+def test_pushout_rejects_a_non_free_joint_action(c4_univ):
+    """Two orbit morphisms of the C4 universal total whose transformations
+    together fix an object: the rotations and the swap (0 1)(2 3)."""
+    u = c4_univ.total
+    swap = (1, 0, 3, 2)
+    arr_map = tuple(u.hom(swap[u.dom[a]], swap[u.cod[a]])[0]
+                    for a in u.arrows)
+    from gpdcov import FiniteGroup, GroupAction, orbit_groupoid
+    orb = orbit_groupoid(GroupAction(
+        FiniteGroup.cyclic(2), u, (tuple(u.objects), swap),
+        (tuple(u.arrows), arr_map)))
+    with pytest.raises(ValueError, match="act freely together"):
+        pushout_covering(c4_univ, orb.covering)

@@ -298,3 +298,45 @@ def test_covering_document_errors_exit_2(capsys, tmp_path):
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
             assert message in captured.err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _action_doc(**changes):
+    doc = json.loads((GOLDEN / "cov-action-universal-c4.json").read_text(
+        encoding="utf-8"))
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("cmd, doc, where", [
+    ("validate", {"group_table": [["a"]], "elements": 5}, "/elements"),
+    ("validate", {"group_table": [["a"]], "elements": "a"}, "/elements"),
+    ("validate", {"group_table": [1]}, "/group_table/0"),
+    ("orbit", _action_doc(group_table=[1]), "/elements"),
+    ("orbit", _action_doc(group_table=[1], elements=3), "/elements"),
+    ("orbit", _action_doc(group_table=[1], elements=["h0"]),
+     "/group_table/0"),
+    ("orbit", _action_doc(elements="h0h1"), "/elements"),
+])
+def test_malformed_group_tables_exit_2(capsys, tmp_path, cmd, doc, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [cmd, bad] if cmd == "validate" else [cmd, "--action", bad]
+    code, out, err = run_err(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: {where}:" in err and "Traceback" not in err
+
+
+def test_action_documents_accept_integer_entries(capsys, tmp_path):
+    """Action tables, like the one-object shorthand, may name an element
+    by its index."""
+    doc = _action_doc()
+    doc["group_table"] = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_err(capsys, "orbit", "--action", action)
+    assert code == 0
+    assert out == (GOLDEN / "orbit-cov-action-universal-c4.out").read_text(
+        encoding="utf-8")

@@ -7,8 +7,9 @@ from gpdcov import (Covering, FiniteGroup, GroupAction, GroupoidMorphism,
                     codiscrete_groupoid, compose_morphisms,
                     covering_from_subgroup, covering_transformations,
                     equivalent_coverings, find_groupoid_isomorphism,
-                    lift_morphism, orbit_groupoid, pushforward_vertex,
-                    quotient_comparison, universal_cover, vertex_group)
+                    TheoremViolation, lift_morphism, orbit_groupoid,
+                    partition, pushforward_vertex, quotient_comparison,
+                    quotient_covering, universal_cover, vertex_group)
 from gpdcov.classify import _quotient_to_base
 
 
@@ -179,3 +180,26 @@ def test_quotient_comparison(id_c4, c4_univ, cov02, s3_covers):
     flip_cover = s3_covers[(0, 2)]
     with pytest.raises(ValueError):
         quotient_comparison(flip_cover)  # not regular
+
+
+def test_quotient_covering_by_singletons_relabels(i2):
+    singletons = partition(i2.n_objects, ())
+    cov = quotient_covering(i2, singletons, partition(i2.n_arrows, ()),
+                            "identity quotient", 1)
+    assert cov.morphism.is_bijective() and cov.marked_object == 1
+    assert cov.base == i2
+    assert cov.base.obj_labels == ("[x]", "[y]")
+
+
+@pytest.mark.parametrize("arr_pairs, message", [
+    # id_x with x->y: two members out of x
+    ([(0, 1), (2, 3)], "arrow block 0 has two members out of one object"),
+    # id_x with id_y, but x->y alone: nothing out of y composes with x->y
+    ([(0, 3)], "arrow block 1 has no member out of object 1"),
+])
+def test_quotient_covering_names_what_on_failure(i2, arr_pairs, message):
+    """On i2, arrows are 0 = id_x, 1 = x->y, 2 = y->x, 3 = id_y."""
+    one_object = partition(i2.n_objects, [(0, 1)])
+    with pytest.raises(TheoremViolation, match=f"^test quotient: {message}"):
+        quotient_covering(i2, one_object, partition(i2.n_arrows, arr_pairs),
+                          "test quotient")

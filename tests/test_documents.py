@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from gpdcov import omega, require_covering, validate, vertex_group
+from gpdcov import (GroupoidMorphism, omega, require_covering, validate,
+                    vertex_group)
 from gpdcov.documents import (DocumentError, dumps, emit_covering,
                               emit_groupoid, emit_morphism, emit_presheaf,
                               load_covering, parse_groupoid, parse_morphism,
@@ -104,6 +106,28 @@ def test_load_covering_keeps_the_mark(c4, tmp_path):
         assert back.marked_object == mark
         assert back.mark == (mark or 0)
         assert back.fibers == cov.fibers == ((0, 1),)
+
+
+def test_load_covering_walks_functoriality_once(monkeypatch):
+    """parse_morphism checks functoriality; load_covering then checks only
+    the star maps, with check_covering's message on failure."""
+    root = Path(__file__).resolve().parent.parent
+    walks = []
+    original = GroupoidMorphism.functoriality_violations
+
+    def counted(self):
+        walks.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GroupoidMorphism, "functoriality_violations",
+                        counted)
+    cov = load_covering(str(root / "tests" / "golden" / "universal-s3.out"))
+    assert len(walks) == 1 and cov.fibers == (tuple(cov.total.objects),)
+    with pytest.raises(ValueError, match="^star map not injective at "
+                                         "object x: arrows id_x and g "
+                                         "both map to e$"):
+        load_covering(str(root / "fixtures" / "collapse_i2.json"))
+    assert len(walks) == 2
 
 
 def test_morphism_functoriality_checked_on_load(i2):

@@ -11,8 +11,12 @@ covering constructions: ``build-cover`` outputs feed ``expo``,
 fixture), ``adjunction``, ``to-presheaf`` (whose outputs in turn feed
 ``from-presheaf``), ``normalizer-iso``, ``pushout``, ``fiber``,
 ``monodromy``, ``fold``, ``equiv`` and ``subobjects``.  ``orbit`` reads
-``cov-action-universal-c4.json``, also kept beside the golden files: the
-covering-transformation action of C4 on the total of its universal cover.
+the action documents kept beside the golden files:
+``cov-action-universal-c4.json``, the covering-transformation action of C4
+on the total of its universal cover, and ``cov-action-universal-s3-<h>.json``,
+the action of the subgroup generated by the transformation ``h`` on the
+total of the universal cover of S3 (``h1`` and ``h2`` of order 2, ``h3`` of
+order 3).  The ``pushout`` cases pair those S3 orbit morphisms.
 
 To record the golden files from the current sources (only when a change of
 output is intended), run from the repository root:
@@ -104,13 +108,19 @@ def _construction_cases():
     cases["fiber-s3-12"] = ["fiber", s3_12, "--object", "*"]
     cases["monodromy-s3-12"] = ["monodromy", s3_12]
     cases["fold-s3-12"] = ["fold", s3_12]
-    cases["equiv-c4-2-from-presheaf-c4-2"] = [
-        "equiv", f"{g}build-cover-c4-2", f"{g}from-presheaf-c4-2"]
-    cases["equiv-c4-2-universal-c4"] = [
-        "equiv", f"{g}build-cover-c4-2", f"{g}universal-c4"]
+    for second in ("from-presheaf-c4-2", "universal-c4"):
+        pair = [f"{g}build-cover-c4-2", f"{g}{second}"]
+        cases[f"equiv-c4-2-{second}"] = ["equiv"] + pair
+        cases[f"equiv-fixed-base-c4-2-{second}"] = [
+            "equiv", "--fixed-base"] + pair
     cases["subobjects-c4-2"] = ["subobjects", f"{g}build-cover-c4-2"]
-    cases["orbit-cov-action-universal-c4"] = [
-        "orbit", "--action", str(GOLDEN / "cov-action-universal-c4.json")]
+    for action in ("c4", "s3-h1", "s3-h2", "s3-h3"):
+        cases[f"orbit-cov-action-universal-{action}"] = [
+            "orbit", "--action",
+            str(GOLDEN / f"cov-action-universal-{action}.json")]
+    for first, second in (("h1", "h2"), ("h1", "h3")):
+        cases[f"pushout-s3-{first}-s3-{second}"] = ["pushout"] + [
+            f"{g}orbit-cov-action-universal-s3-{h}" for h in (first, second)]
     return cases
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from gpdcov import (FiniteGroup, FiniteGroupoid, codiscrete_groupoid,
                     component_subgroupoid, components, disjoint_union,
-                    group_groupoid, opposite, star, subgroupoid,
+                    group_groupoid, opposite, partition, star, subgroupoid,
                     trivial_groupoid, universal_cover, validate)
 from gpdcov.groupoid import ValidationReport, Violation
 
@@ -220,6 +220,39 @@ def test_validate_matches_reference_on_groupoids(name):
     report = validate(g)
     assert report.ok
     assert report == reference_validate(g)
+
+
+def closure_blocks(n, pairs):
+    """The blocks of the equivalence relation that the pairs generate, by
+    brute-force transitive closure."""
+    reach = [{x} for x in range(n)]
+    for x, y in pairs:
+        reach[x].add(y)
+        reach[y].add(x)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            grown = set().union(*(reach[y] for y in reach[x]))
+            if grown != reach[x]:
+                reach[x], changed = grown, True
+    return tuple(sorted({tuple(sorted(r)) for r in reach}))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_partition_matches_transitive_closure(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(40)
+    pairs = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randrange(2 * n + 1))] if n else []
+    part = partition(n, iter(pairs))
+    assert part.blocks == closure_blocks(n, pairs)
+    assert part.index == tuple(part.block_index(x) for x in range(n))
+    for i, blk in enumerate(part.blocks):
+        assert all(part.index[x] == i for x in blk)
+    for outside in (-1, n):
+        with pytest.raises(ValueError, match="not in any block"):
+            part.block_index(outside)
 
 
 def test_equal_groupoids_compare_equal():

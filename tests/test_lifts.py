@@ -21,7 +21,11 @@ from gpdcov import (Covering, FiniteGroup, FiniteGroupoid, GroupoidMorphism,
                     pullback_covering, require_covering, universal_cover,
                     vertex_group)
 from gpdcov.classify import PullbackCovering
-from gpdcov.covering import covering_of_lifts, factor_through
+from gpdcov.covering import (_iso_over, _propagate_lift, components,
+                             compose_morphisms, covering_of_lifts,
+                             factor_through, find_covering_isomorphism,
+                             glue_morphism, groupoid_isomorphisms,
+                             lift_morphism)
 from gpdcov.groupoid import relabeled
 from gpdcov.topos import ExponentialCovering, Omega, presheaf_to_covering
 
@@ -278,6 +282,79 @@ def reference_omega(g):
                  false_objects=tuple(range(no, 2 * no)))
 
 
+def reference_seeded_iso_over(p, f):
+    """An isomorphism g: f.source -> total(p) with p∘g = f, found by
+    seeding unique lifting at every fiber object with matching loop-image
+    group; None when no seed works."""
+    src = f.source
+    root = 0
+    base_pt = f.obj_map[root]
+    loop_imgs = {f.arr_map[a] for a in src.loops(root)}
+    for cand in p.fibers[base_pt]:
+        cand_imgs = {p.morphism.arr_map[a] for a in p.total.loops(cand)}
+        if loop_imgs != cand_imgs:
+            continue
+        g = lift_morphism(p, f, root, cand)
+        if g is not None and g.is_bijective():
+            return g
+    return None
+
+
+def reference_find_covering_isomorphism(p, q):
+    """An isomorphism phi: total(p) -> total(q) with q∘phi = p, matching
+    components via seeded lifting; None if the coverings differ.  Bases
+    must coincide; totals may be disconnected."""
+    if p.base != q.base:
+        raise ValueError("coverings must share a base")
+    if p.total.n_objects != q.total.n_objects \
+            or p.total.n_arrows != q.total.n_arrows:
+        return None
+    p_parts = components(p.total).blocks
+    q_parts = components(q.total).blocks
+
+    def block_pieces(block):
+        root = block[0]
+        base_pt = p.morphism.obj_map[root]
+        loop_imgs = {p.morphism.arr_map[a] for a in p.total.loops(root)}
+        found = []
+        for j, qblock in enumerate(q_parts):
+            if len(qblock) != len(block):
+                continue
+            for cand in qblock:
+                if q.morphism.obj_map[cand] != base_pt:
+                    continue
+                cand_imgs = {q.morphism.arr_map[a]
+                             for a in q.total.loops(cand)}
+                if loop_imgs != cand_imgs:
+                    continue
+                piece = _propagate_lift(q, p.morphism, block, root, cand)
+                found.append((j, piece))
+        return found
+
+    options = [block_pieces(block) for block in p_parts]
+
+    def backtrack(i, used, acc):
+        if i == len(p_parts):
+            return list(acc)
+        for j, piece in options[i]:
+            if j in used:
+                continue
+            got = backtrack(i + 1, used | {j}, acc + [piece])
+            if got is not None:
+                return got
+        return None
+
+    combo = backtrack(0, frozenset(), [])
+    if combo is None:
+        return None
+    phi = glue_morphism(p.total, q.total, combo)
+    if not (phi.is_bijective() and phi.is_functorial()):
+        return None
+    if compose_morphisms(q.morphism, phi) != p.morphism:
+        return None
+    return phi
+
+
 # -- comparison ---------------------------------------------------------------
 
 def assert_same_groupoid(got, want):
@@ -448,3 +525,52 @@ def test_factor_through_names_a_missed_id():
     point = GroupoidMorphism(one, g, (0,), (g.identity[0],))
     with pytest.raises(ValueError, match="^object 1 is not hit$"):
         factor_through(point, GroupoidMorphism.identity(one))
+
+
+# -- the isomorphism search and the fiber presheaf ----------------------------
+
+def assert_same_or_none(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.obj_map, got.arr_map) == (want.obj_map, want.arr_map)
+        assert got.source is want.source
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_iso_search_matches_reference(name):
+    """``find_covering_isomorphism`` against the per-candidate search, and
+    ``_iso_over`` on connected totals against the seeded search of
+    ``equivalent_coverings``, along the identity and some isomorphisms of
+    the base."""
+    covers = small_covers(name)
+    for p, q in itertools.product(covers, repeat=2):
+        assert_same_or_none(find_covering_isomorphism(p, q),
+                            reference_find_covering_isomorphism(p, q))
+        if not (is_connected(p.total) and is_connected(q.total)) \
+                or p.total.n_objects != q.total.n_objects \
+                or p.total.n_arrows != q.total.n_arrows:
+            continue
+        bases = [GroupoidMorphism.identity(p.base)] + list(
+            itertools.islice(groupoid_isomorphisms(q.base, p.base), 3))
+        for psi in bases:
+            f = compose_morphisms(psi, q.morphism)
+            assert_same_or_none(_iso_over(f, p),
+                                reference_seeded_iso_over(p, f))
+
+
+def _no_groupoids(self, *args, **kwargs):
+    raise AssertionError("a groupoid was built")
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_presheaf_maps_match_fiber_transport(name, monkeypatch):
+    """The maps of ``covering_to_presheaf`` are the object parts of
+    ``fiber_transport``, key order included, and building them builds no
+    groupoid."""
+    for cov in small_covers(name):
+        want = {g: fiber_transport(cov, g).obj_map for g in cov.base.arrows}
+        with monkeypatch.context() as patch:
+            patch.setattr(FiniteGroupoid, "__init__", _no_groupoids)
+            ps = covering_to_presheaf(cov)
+        assert [list(ps.maps[g].items()) for g in cov.base.arrows] == \
+            [list(want[g].items()) for g in cov.base.arrows]
