@@ -16,10 +16,11 @@ naming the clause, because each of these is a theorem.
 Naming note: on the subgroup side, meet = intersection and join =
 generated subgroup.  Geometrically the meet corresponds to the marked
 component of the fibered product over G, and the join to the pushout
-under the universal cover.  The orbit morphism of Π identifies the
-Π-orbits, so the pushout of two of them identifies what either
-identifies: it is built by joining their partitions of total(u), with no
-group of transformations in between.
+under the universal cover.  The meet is checked by one pointed lift into
+the product, which tells the intersection node from a conjugate one.
+The orbit morphism of Π identifies the Π-orbits, so the pushout of two
+of them identifies what either identifies: it is built by joining their
+partitions of total(u), with no group of transformations in between.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from dataclasses import dataclass
 
 from .errors import TheoremViolation
 from .covering import (Covering, GroupoidMorphism, components,
-                       compose_morphisms, covering_of_lifts,
-                       equivalent_coverings, factor_through, fold,
-                       lift_morphism, verified_covering)
+                       compose_morphisms, covering_of_lifts, factor_through,
+                       fold, lift_morphism, verified_covering)
 from .construct import (OrbitGroupoid, orbit_groupoid, quotient_covering,
                         universal_cover)
-from .groupoid import (FiniteGroupoid, component_subgroupoid, is_connected,
-                       partition, vertex_group)
+from .groupoid import FiniteGroupoid, is_connected, partition, vertex_group
 from .groups import Subgroup, find_isomorphism
 from .transform import covering_transformations, is_regular
 
@@ -273,9 +272,10 @@ def classify_covering(lattice: GaloisLattice, q: Covering) -> CoveringClass:
 
 
 def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:
-    """The class of the component of the fibered product that the
-    universal cover maps into; verified equivalent to the node of the
-    subgroup intersection before returning it."""
+    """The node of the subgroup intersection, verified by one pointed lift
+    of its covering into the fibered product at the marked pair; by unique
+    lifting (Brown, *Topology and Groupoids*, ch. 10) the lift must be a
+    bijection onto the marked component."""
     if a.lattice is None or a.lattice is not b.lattice:
         raise ValueError("classes must belong to one lattice")
     lat = a.lattice
@@ -285,22 +285,20 @@ def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:
     pair = (b.orbit.projection.obj_map[marked],
             a.orbit.projection.obj_map[marked])
     marked_obj = prod.obj_pairs.index(pair)
-    parts = components(prod.covering.total)
-    comp, obj_ids, arr_ids = component_subgroupoid(
-        prod.covering.total, parts.blocks[parts.index[marked_obj]])
-    incl_obj = {v: i for i, v in enumerate(obj_ids)}
-    proj = GroupoidMorphism(
-        comp, lat.base,
-        tuple(prod.covering.morphism.obj_map[v] for v in obj_ids),
-        tuple(prod.covering.morphism.arr_map[v] for v in arr_ids))
-    comp_cov = verified_covering(proj, "pullback component",
-                                 incl_obj[marked_obj])
-    expect = lat.nodes[lat.meet(lat.index_of(a), lat.index_of(b))]
-    if equivalent_coverings(expect.covering, comp_cov) is None:
+    node = lat.nodes[lat.meet(lat.index_of(a), lat.index_of(b))]
+    expect = node.covering
+    m = lift_morphism(prod.covering, expect.morphism, expect.mark, marked_obj)
+    total = prod.covering.total
+    parts = components(total)
+    block = parts.blocks[parts.index[marked_obj]]
+    n, k = expect.total.n_objects, expect.total.n_arrows
+    if (m is None or len(set(m.obj_map)) != n or len(set(m.arr_map)) != k
+            or len(block) != n
+            or sum(len(total._into[x]) for x in block) != k):
         raise TheoremViolation(
             "pullback component is not equivalent to the intersection "
             "node (lattice meet law)")
-    return expect
+    return node
 
 
 def build_lattice(g: FiniteGroupoid, g0: int = 0) -> GaloisLattice:

@@ -36,8 +36,8 @@ class GroupoidMorphism:
     def __init__(self, source, target, obj_map, arr_map):
         self.source = source
         self.target = target
-        self.obj_map = tuple(map(int, obj_map))
-        self.arr_map = tuple(map(int, arr_map))
+        self.obj_map = tuple(obj_map)
+        self.arr_map = tuple(arr_map)
         if len(self.obj_map) != source.n_objects:
             raise ValueError("object map must cover all source objects")
         if len(self.arr_map) != source.n_arrows:

@@ -20,12 +20,14 @@ all pairs or triples of arrows.  :func:`partition` is the package's one
 union-find; :func:`components` computes the partition into connected
 components with it on its first call and keeps it.
 
-Everything is immutable after construction and all operations are pure.
+Each groupoid is built once, by its one constructor, and is immutable:
+``compose`` is a read-only mapping.  All operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .groups import FiniteGroup
 
@@ -34,7 +36,8 @@ class FiniteGroupoid:
     """Extensional finite groupoid: object count, arrow endpoint tables,
     identity/inverse tables and a full composition table.
 
-    Construction performs only shape checks and builds the star index;
+    The one constructor makes shape checks, freezes one copy of
+    ``compose`` (a write raises ``TypeError``) and builds the star index;
     :func:`validate` reports on the category and groupoid laws.  The
     builders in this module always return law-abiding instances.
     """
@@ -42,24 +45,21 @@ class FiniteGroupoid:
     def __init__(self, n_objects, dom, cod, identity, compose, inverse,
                  obj_labels=None, arr_labels=None):
         self.n_objects = int(n_objects)
-        self.dom = tuple(int(x) for x in dom)
-        self.cod = tuple(int(x) for x in cod)
+        self.dom = tuple(dom)
+        self.cod = tuple(cod)
         if len(self.dom) != len(self.cod):
             raise ValueError("dom and cod tables must have equal length")
-        self.identity = tuple(int(x) for x in identity)
+        self.identity = tuple(identity)
         if len(self.identity) != self.n_objects:
             raise ValueError("one identity arrow per object required")
-        self.compose = {(int(f), int(h)): int(v)
-                        for (f, h), v in dict(compose).items()}
-        self.inverse = tuple(int(x) for x in inverse)
+        self.compose = MappingProxyType(dict(compose))
+        self.inverse = tuple(inverse)
         if len(self.inverse) != len(self.dom):
             raise ValueError("inverse table must cover all arrows")
-        if obj_labels is None:
-            obj_labels = tuple(str(i) for i in range(self.n_objects))
-        if arr_labels is None:
-            arr_labels = tuple(str(i) for i in range(len(self.dom)))
-        self.obj_labels = tuple(str(s) for s in obj_labels)
-        self.arr_labels = tuple(str(s) for s in arr_labels)
+        self.obj_labels = tuple(map(str, range(self.n_objects)
+                                    if obj_labels is None else obj_labels))
+        self.arr_labels = tuple(map(str, range(len(self.dom))
+                                    if arr_labels is None else arr_labels))
         if len(self.obj_labels) != self.n_objects:
             raise ValueError("object label count mismatch")
         if len(self.arr_labels) != len(self.dom):
@@ -387,8 +387,8 @@ def subgroupoid(g: FiniteGroupoid, objs, arrs):
             raise ValueError(f"identity of object {x} missing from arrows")
     compose = {}
     for f in arrs:
-        for h in arrs:
-            if g.cod[h] == g.dom[f]:
+        for h in g._into[g.dom[f]]:
+            if h in apos:
                 v = g.compose[(f, h)]
                 if v not in apos:
                     raise ValueError(
@@ -414,7 +414,7 @@ def component_subgroupoid(g: FiniteGroupoid, block):
     """The full subgroupoid on one set of objects plus all arrows between
     them (used for connected components)."""
     block = set(block)
-    arrs = [a for a in g.arrows if g.dom[a] in block and g.cod[a] in block]
+    arrs = [a for y in block for a in g._into[y] if g.dom[a] in block]
     return subgroupoid(g, block, arrs)
 
 

@@ -187,7 +187,7 @@ def check_cov_group_theorems():
         if grp.order != expect:
             return False, (f"{name} {elems}: |Cov| {grp.order} != "
                            f"normalizer index {expect}")
-        is_regular(cov)  # internally cross-checks the two routes
+        # is_regular cross-checks the normality and transitivity routes
         if is_regular(cov) and not principal_action_check(cov):
             return False, f"{name} {elems}: regular cover not principal"
     c4u = universal_cover(fixture_bases()["C4"], 0)

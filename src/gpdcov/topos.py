@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
+from .classify import fibered_product
 from .covering import (Covering, GroupoidMorphism, components,
                        compose_morphisms, covering_morphisms,
                        covering_of_lifts, monodromy, verified_covering)
@@ -348,7 +349,6 @@ def adjunction_check(r: Covering, p: Covering, q: Covering,
                      cap: int = 20000) -> AdjunctionWitness:
     """Enumerate Hom(R × P, Q) and Hom(R, Q^P) independently over the
     common base and verify that currying is a bijection between them."""
-    from .classify import fibered_product
     if not (r.base == p.base == q.base):
         raise ValueError("adjunction requires a common base")
     base = r.base

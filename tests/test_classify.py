@@ -1,12 +1,14 @@
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from gpdcov import (GroupoidMorphism, build_lattice, classify_covering,
+from gpdcov import (FiniteGroupoid, GroupoidMorphism, TheoremViolation,
+                    build_lattice, classify_covering, component_subgroupoid,
                     components, compose_morphisms, equivalent_coverings,
                     fibered_product, is_connected, meet_covering,
                     pullback_covering, pushout_covering, trivial_groupoid,
-                    universal_cover, vertex_group)
+                    universal_cover, verified_covering, vertex_group)
 from gpdcov.classify import PushoutResult, _induced_on_quotient
 from gpdcov.construct import GroupAction, orbit_groupoid
 from gpdcov.documents import load_groupoid
@@ -229,13 +231,18 @@ LATTICE_BASES = dict(
     **{name: g for name, g in CORPUS.items() if is_connected(g)})
 
 
+@lru_cache(maxsize=None)
+def lattice_of(name):
+    return build_lattice(LATTICE_BASES[name])
+
+
 def assert_same_maps(got, want):
     assert got.obj_map == want.obj_map and got.arr_map == want.arr_map
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_BASES))
 def test_pushout_matches_closure_reference(name):
-    lat = build_lattice(LATTICE_BASES[name])
+    lat = lattice_of(name)
     for a in lat.nodes:
         for b in lat.nodes:
             p, q = a.orbit.covering, b.orbit.covering
@@ -287,3 +294,112 @@ def test_pushout_rejects_a_non_free_joint_action(c4_univ):
         (tuple(u.arrows), arr_map)))
     with pytest.raises(ValueError, match="act freely together"):
         pushout_covering(c4_univ, orb.covering)
+
+
+# -- the meet by component copy and unpointed equivalence, verbatim -----------
+
+def reference_meet_covering(a, b):
+    """The class of the component of the fibered product that the
+    universal cover maps into; verified equivalent to the node of the
+    subgroup intersection before returning it."""
+    if a.lattice is None or a.lattice is not b.lattice:
+        raise ValueError("classes must belong to one lattice")
+    lat = a.lattice
+    prod = fibered_product(a.covering, b.covering)
+    marked = lat.universal.mark
+    # obj_pairs carry (second factor, first factor); see fibered_product
+    pair = (b.orbit.projection.obj_map[marked],
+            a.orbit.projection.obj_map[marked])
+    marked_obj = prod.obj_pairs.index(pair)
+    parts = components(prod.covering.total)
+    comp, obj_ids, arr_ids = component_subgroupoid(
+        prod.covering.total, parts.blocks[parts.index[marked_obj]])
+    incl_obj = {v: i for i, v in enumerate(obj_ids)}
+    proj = GroupoidMorphism(
+        comp, lat.base,
+        tuple(prod.covering.morphism.obj_map[v] for v in obj_ids),
+        tuple(prod.covering.morphism.arr_map[v] for v in arr_ids))
+    comp_cov = verified_covering(proj, "pullback component",
+                                 incl_obj[marked_obj])
+    expect = lat.nodes[lat.meet(lat.index_of(a), lat.index_of(b))]
+    if equivalent_coverings(expect.covering, comp_cov) is None:
+        raise TheoremViolation(
+            "pullback component is not equivalent to the intersection "
+            "node (lattice meet law)")
+    return expect
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_meet_matches_component_reference(name):
+    lat = lattice_of(name)
+    for a in lat.nodes:
+        for b in lat.nodes:
+            assert meet_covering(a, b) is reference_meet_covering(a, b)
+
+
+MEET_LAW = "lattice meet law"
+
+
+def test_meet_rejects_wrong_nodes(lat_s3, monkeypatch):
+    """Patched to name the universal node, the top node or a conjugate of
+    the true meet, the meet clause raises each time.  The reference,
+    which looks for an unpointed equivalence, accepts the conjugate: the
+    two order-2 nodes are conjugate, so their quotients are equivalent
+    coverings.  Only the pointed lift tells them apart."""
+    a, conjugate = [n for n in lat_s3.nodes if n.subgroup.order == 2][:2]
+    bottom, top = lat_s3.nodes[0], lat_s3.nodes[-1]
+    assert bottom.subgroup.order == 1 and top.subgroup.order == 6
+    assert meet_covering(a, a) is a
+    for wrong in (bottom, top, conjugate):
+        monkeypatch.setattr(lat_s3, "meet",
+                            lambda i, j, k=lat_s3.index_of(wrong): k)
+        with pytest.raises(TheoremViolation, match=MEET_LAW):
+            meet_covering(a, a)
+    assert reference_meet_covering(a, a) is conjugate
+
+
+def test_meet_checks_injectivity_and_counts_apart(lat_s3, monkeypatch):
+    """Each half of the bijection test stands on its own.  A real lift of a
+    connected covering is onto its component, so for it either half
+    implies the other; the lifts here are faked.  One folds the true meet
+    onto one object, so only injectivity fails.  One sends the top node's
+    single object and six arrows injectively into the larger marked
+    component, so only the counts fail."""
+    import gpdcov.classify as classify
+    a = [n for n in lat_s3.nodes if n.subgroup.order == 2][0]
+    top = lat_s3.nodes[-1]
+
+    def collapsed(p, f, f0, seed):
+        return GroupoidMorphism(f.source, p.total,
+                                (seed,) * f.source.n_objects,
+                                (p.total.identity[seed],)
+                                * f.source.n_arrows)
+
+    def into_star(p, f, f0, seed):
+        return GroupoidMorphism(f.source, p.total, (seed,),
+                                p.total._into[seed][:f.source.n_arrows])
+
+    for fake, meet in ((collapsed, lat_s3.index_of(a)),
+                       (into_star, lat_s3.index_of(top))):
+        monkeypatch.setattr(classify, "lift_morphism", fake)
+        monkeypatch.setattr(lat_s3, "meet", lambda i, j, k=meet: k)
+        with pytest.raises(TheoremViolation, match=MEET_LAW):
+            meet_covering(a, a)
+
+
+def test_meet_builds_one_groupoid(lat_s3, monkeypatch):
+    """One call builds the fibered product's total and nothing else: no
+    component copy."""
+    built = []
+    init = FiniteGroupoid.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroupoid, "__init__", counting)
+    for a in lat_s3.nodes:
+        for b in lat_s3.nodes:
+            built.clear()
+            meet_covering(a, b)
+            assert len(built) == 1

@@ -1,10 +1,20 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from gpdcov import (FiniteGroup, FiniteGroupoid, GroupoidMorphism,
-                    codiscrete_groupoid, components, disjoint_union,
+from gpdcov import (FiniteGroup, FiniteGroupoid, GroupAction,
+                    GroupoidMorphism, codiscrete_groupoid,
+                    component_subgroupoid, components, disjoint_union,
+                    exponential, fiber, fibered_product,
                     find_groupoid_isomorphism, group_groupoid, is_connected,
-                    opposite, star, trivial_groupoid, validate, vertex_group)
+                    omega, opposite, orbit_groupoid, presheaf_to_covering,
+                    pushout_covering, star, subgroupoid, trivial_groupoid,
+                    universal_cover, validate, vertex_group)
+from gpdcov.documents import parse_groupoid
+from gpdcov.groupoid import relabeled
 from gpdcov.groups import find_isomorphism
+from gpdcov.topos import covering_to_presheaf
 
 
 def test_trivial_groupoid_valid(t1):
@@ -161,3 +171,75 @@ def test_group_groupoid_round_trip():
     assert validate(g).ok
     vg = vertex_group(g, 0)
     assert vg.table == s3.table  # arrow id = element id, no twist
+
+
+# -- frozen tables ------------------------------------------------------------
+
+def _public_builds():
+    """One groupoid from each public builder, by name."""
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "s3.json"
+    s3 = group_groupoid(FiniteGroup.symmetric(3))
+    two = codiscrete_groupoid(2)
+    univ = universal_cover(s3)
+    orb = orbit_groupoid(GroupAction.trivial(univ.total))
+    push = pushout_covering(orb.covering, orb.covering)
+    prod = fibered_product(univ, univ)
+    c3_univ = universal_cover(group_groupoid(FiniteGroup.cyclic(3)))
+    expo = exponential(c3_univ, c3_univ)
+    om = omega(s3)
+    back = presheaf_to_covering(covering_to_presheaf(univ))
+    return {
+        "parse_groupoid": parse_groupoid(json.loads(fixture.read_text())),
+        "trivial_groupoid": trivial_groupoid(),
+        "codiscrete_groupoid": two,
+        "group_groupoid": s3,
+        "disjoint_union": disjoint_union(two, s3),
+        "opposite": opposite(s3),
+        "relabeled": relabeled(s3, obj_labels=("o",)),
+        "subgroupoid": subgroupoid(s3, [0], [s3.identity[0]])[0],
+        "component_subgroupoid": component_subgroupoid(
+            disjoint_union(two, s3), [2])[0],
+        "fiber": fiber(univ, 0).groupoid,
+        "universal_cover.total": univ.total,
+        "universal_cover.base": univ.base,
+        "orbit_groupoid.total": orb.covering.total,
+        "orbit_groupoid.base": orb.quotient,
+        "pushout_covering.total": push.orbit_covering.total,
+        "pushout_covering.base": push.quotient,
+        "fibered_product.total": prod.covering.total,
+        "fibered_product.base": prod.covering.base,
+        "exponential.total": expo.covering.total,
+        "exponential.base": expo.covering.base,
+        "omega.total": om.covering.total,
+        "omega.base": om.covering.base,
+        "presheaf_to_covering.total": back.total,
+        "presheaf_to_covering.base": back.base,
+    }
+
+
+PUBLIC_BUILDS = _public_builds()
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_BUILDS))
+def test_public_builders_return_frozen_tables(name):
+    g = PUBLIC_BUILDS[name]
+    key, value = next(iter(g.compose.items()))
+    with pytest.raises(TypeError):
+        g.compose[key] = value
+    with pytest.raises(TypeError):
+        del g.compose[key]
+    with pytest.raises(TypeError):
+        g.compose[(g.n_arrows, g.n_arrows)] = 0
+    assert g.compose[key] == value
+    for table in (g.dom, g.cod, g.identity, g.inverse):
+        assert isinstance(table, tuple)
+
+
+def test_constructor_keeps_its_own_copy(c4):
+    dom, compose = list(c4.dom), dict(c4.compose)
+    g = FiniteGroupoid(1, dom, c4.cod, c4.identity, compose, c4.inverse)
+    compose[(1, 2)] = 0
+    del compose[(0, 0)]
+    dom[0] = 5
+    assert g == c4 and dict(g.compose) == dict(c4.compose)
+    assert g.dom == c4.dom and validate(g).ok

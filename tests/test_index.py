@@ -380,3 +380,105 @@ def test_out_of_range_endpoints_stay_out_of_the_index():
     kinds = [(v.kind, v.ids) for v in validate(broken).violations]
     assert kinds == [("dom-range", (5,)), ("cod-range", (6,)),
                      ("dom-range", (7,)), ("cod-range", (8,))]
+
+
+# -- subgroupoids against the all-pairs copy ---------------------------------
+
+def reference_subgroupoid(g: FiniteGroupoid, objs, arrs):
+    """The subgroupoid copy that tests every pair of chosen arrows."""
+    objs = tuple(sorted(set(objs)))
+    arrs = tuple(sorted(set(arrs)))
+    opos = {x: i for i, x in enumerate(objs)}
+    apos = {a: i for i, a in enumerate(arrs)}
+    for a in arrs:
+        if g.dom[a] not in opos or g.cod[a] not in opos:
+            raise ValueError(f"arrow {a} leaves the chosen object set")
+    for x in objs:
+        if g.identity[x] not in apos:
+            raise ValueError(f"identity of object {x} missing from arrows")
+    compose = {}
+    for f in arrs:
+        for h in arrs:
+            if g.cod[h] == g.dom[f]:
+                v = g.compose[(f, h)]
+                if v not in apos:
+                    raise ValueError(
+                        f"arrow set not closed under composition at "
+                        f"({f}, {h})")
+                compose[(apos[f], apos[h])] = apos[v]
+    for a in arrs:
+        if g.inverse[a] not in apos:
+            raise ValueError(f"arrow set not closed under inverse at {a}")
+    sub = FiniteGroupoid(
+        len(objs),
+        tuple(opos[g.dom[a]] for a in arrs),
+        tuple(opos[g.cod[a]] for a in arrs),
+        tuple(apos[g.identity[x]] for x in objs),
+        compose,
+        tuple(apos[g.inverse[a]] for a in arrs),
+        obj_labels=tuple(g.obj_labels[x] for x in objs),
+        arr_labels=tuple(g.arr_labels[a] for a in arrs))
+    return sub, objs, arrs
+
+
+def _outcome(build, g, objs, arrs):
+    """The tables, the compose order and the embedding, or the message."""
+    try:
+        sub, obj_ids, arr_ids = build(g, objs, arrs)
+    except ValueError as exc:
+        return str(exc)
+    return (sub.n_objects, sub.dom, sub.cod, sub.identity, sub.inverse,
+            list(sub.compose.items()), sub.obj_labels, sub.arr_labels,
+            obj_ids, arr_ids)
+
+
+def _subgroupoid_cases(g, rng):
+    """Closed sets (each component, the loops at each object, the
+    identities) and random sets that are mostly not closed."""
+    for block in components(g).blocks:
+        inside = set(block)
+        yield block, [a for a in g.arrows
+                      if g.dom[a] in inside and g.cod[a] in inside]
+    for x in g.objects:
+        yield [x], g.loops(x)
+    yield g.objects, g.identity
+    for _ in range(20):
+        objs = rng.sample(g.objects, rng.randint(1, g.n_objects))
+        between = [a for a in g.arrows
+                   if g.dom[a] in objs and g.cod[a] in objs]
+        arrs = rng.sample(between, rng.randint(0, len(between)))
+        if rng.random() < 0.8:
+            arrs += [g.identity[x] for x in objs]
+        if rng.random() < 0.2:
+            arrs.append(rng.choice(g.arrows))
+        yield objs, arrs
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_subgroupoid_matches_all_pairs_reference(name):
+    g = CORPUS[name]
+    rng = random.Random(name)
+    messages = set()
+    for objs, arrs in _subgroupoid_cases(g, rng):
+        got = _outcome(subgroupoid, g, objs, arrs)
+        assert got == _outcome(reference_subgroupoid, g, objs, arrs)
+        if isinstance(got, str):
+            messages.add(got.split(" at ")[0].split(" of object")[0])
+    for block in components(g).blocks:
+        inside = set(block)
+        assert _outcome(lambda g, objs, _: component_subgroupoid(g, objs),
+                        g, block, None) == \
+            _outcome(reference_subgroupoid, g, block, [
+                a for a in g.arrows
+                if g.dom[a] in inside and g.cod[a] in inside])
+    if g.n_arrows > g.n_objects:
+        assert "arrow set not closed under composition" in messages
+
+
+def test_subgroupoid_names_an_arrow_set_closed_only_under_composition():
+    g = codiscrete_groupoid(2)
+    a = g.hom(0, 1)[0]
+    args = (g, [0, 1], [g.identity[0], g.identity[1], a])
+    assert _outcome(subgroupoid, *args) == \
+        _outcome(reference_subgroupoid, *args) == \
+        f"arrow set not closed under inverse at {a}"
