@@ -6,9 +6,9 @@ from .groups import (FiniteGroup, Subgroup, all_homomorphisms,
 from .groupoid import (FiniteGroupoid, Partition, Star, ValidationReport,
                        VertexGroup, Violation, codiscrete_groupoid,
                        component_subgroupoid, components, disjoint_union,
-                       group_groupoid, is_connected, opposite, partition,
-                       star, subgroupoid, trivial_groupoid, validate,
-                       vertex_group)
+                       generators, group_groupoid, is_connected, opposite,
+                       partition, star, subgroupoid, trivial_groupoid,
+                       validate, vertex_group)
 from .covering import (Covering, CoveringFailure, EquivalencePair, Fiber,
                        FiberTransport, GroupoidMorphism, MonodromyAction,
                        all_morphisms, check_covering, compose_morphisms,

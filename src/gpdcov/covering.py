@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import TheoremViolation
-from .groupoid import (FiniteGroupoid, VertexGroup, components, is_connected,
-                       subgroupoid, vertex_group)
+from .groupoid import (FiniteGroupoid, VertexGroup, components, generators,
+                       is_connected, subgroupoid, vertex_group)
 from .groups import Subgroup, all_homomorphisms, generating_set
 
 
@@ -61,22 +62,60 @@ class GroupoidMorphism:
         return cls(g, g, tuple(g.objects), tuple(g.arrows))
 
     def functoriality_violations(self) -> list:
+        """Every violated functor law, as messages: arrows whose image has
+        the wrong dom or cod, objects whose identity is not preserved,
+        then source pairs whose composite is not preserved.
+
+        Composition is first checked on the generating set A of the
+        source (:func:`~gpdcov.groupoid.generators`): F(a∘x) = F(a)∘F(x)
+        for every a in A and x into dom(a), about |A|·|star| lookups.  The
+        arrows w with F(w∘x) = F(w)∘F(x) for all x are closed under
+        composition when source and target are associative, so this
+        certifies every pair.  Every groupoid the package builds, or
+        parses and validates, is associative; a hand-built
+        non-associative table may get ``[]`` here.  When an earlier law
+        fails, when the source has no certified generating set, or when
+        the certificate fails, the whole source table is scanned, so the
+        messages and their order are those of that scan.
+        """
         src, dst = self.source, self.target
+        arr = self.arr_map
         bad = []
         for a in src.arrows:
-            fa = self.arr_map[a]
+            fa = arr[a]
             if dst.dom[fa] != self.obj_map[src.dom[a]]:
                 bad.append(f"arrow {a}: image dom mismatch")
             if dst.cod[fa] != self.obj_map[src.cod[a]]:
                 bad.append(f"arrow {a}: image cod mismatch")
         for x in src.objects:
-            if self.arr_map[src.identity[x]] != dst.identity[self.obj_map[x]]:
+            if arr[src.identity[x]] != dst.identity[self.obj_map[x]]:
                 bad.append(f"object {x}: identity not preserved")
+        if not bad and self._keeps_composites_on(generators(src)):
+            return bad
         for (f, h), v in src.compose.items():
-            img = dst.compose.get((self.arr_map[f], self.arr_map[h]))
-            if img != self.arr_map[v]:
+            img = dst.compose.get((arr[f], arr[h]))
+            if img != arr[v]:
                 bad.append(f"pair ({f}, {h}): composition not preserved")
         return bad
+
+    def _keeps_composites_on(self, gens) -> bool:
+        """F(a∘x) = F(a)∘F(x) for every a in ``gens`` and every x into
+        dom(a); False when ``gens`` is None.  ``gens`` comes from
+        :func:`~gpdcov.groupoid.generators` of the source, whose check
+        looked up every source composite read here."""
+        if gens is None:
+            return False
+        src, arr, dc = self.source, self.arr_map, self.target.compose
+        sc, into, dom = src.compose, src._into, src.dom
+        try:
+            for a in gens:
+                fa, xs = arr[a], into[dom[a]]
+                if [dc[(fa, arr[x])] for x in xs] != \
+                        [arr[sc[(a, x)]] for x in xs]:
+                    return False
+        except KeyError:  # the target has no composite for a pair
+            return False
+        return True
 
     def is_functorial(self) -> bool:
         return not self.functoriality_violations()
@@ -173,11 +212,11 @@ class CoveringFailure:
 class Covering:
     """A verified covering projection with its per-object lifting witness.
 
-    ``witness[x]`` maps each base arrow into p(x) to its unique lift into
-    x.  ``marked_object`` is the marked total object or None, ``mark`` the
-    marked object or 0, and ``fibers[y]`` the total objects over base
-    object y in ascending order.  Read-only; use :func:`check_covering` or
-    :func:`verified_covering` to build one.
+    ``witnesses[x]`` maps each base arrow into p(x) to its unique lift
+    into x, as a read-only mapping.  ``marked_object`` is the marked total
+    object or None, ``mark`` the marked object or 0, and ``fibers[y]`` the
+    total objects over base object y in ascending order.  Read-only; use
+    :func:`check_covering` or :func:`verified_covering` to build one.
     """
 
     __slots__ = ("morphism", "witnesses", "marked_object", "mark", "fibers")
@@ -189,7 +228,8 @@ class Covering:
             fibers[y].append(x)
         for name, value in (
                 ("morphism", morphism),
-                ("witnesses", tuple(dict(w) for w in witnesses)),
+                ("witnesses",
+                 tuple(MappingProxyType(dict(w)) for w in witnesses)),
                 ("marked_object", marked_object),
                 ("mark", 0 if marked_object is None else marked_object),
                 ("fibers", tuple(map(tuple, fibers)))):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import TheoremViolation
 from .covering import (Covering, GroupoidMorphism, compose_morphisms,
                        lift_morphism, monodromy, pushforward_vertex)
-from .groupoid import is_connected
+from .groupoid import generators, is_connected
 from .groups import FiniteGroup, Subgroup, is_isomorphic
 
 
@@ -28,6 +28,13 @@ class CovGroup:
     index of ``transformations[i] ∘ transformations[j]`` (j applied
     first).  Transformations are ordered by the image of the marked fiber
     object, which determines them.
+
+    Closure is checked for every pair: the transformation named by the
+    composite's image of the marked object must equal the composite.  All
+    of them are functors, and functors that agree on a generating set
+    holding every identity are equal, so the comparison runs on the
+    arrows of :func:`~gpdcov.groupoid.generators` of the total, or on
+    every arrow when the total has no certified generating set.
     """
 
     def __init__(self, covering: Covering, transformations,
@@ -42,13 +49,14 @@ class CovGroup:
         if len(key) != len(transformations):
             raise TheoremViolation(
                 "two covering transformations agree on an object")
+        gens = generators(covering.total)
         table = []
         for t1 in self.transformations:
             row = []
             for t2 in self.transformations:
-                comp = compose_morphisms(t1, t2)
-                idx = key.get(comp.obj_map[marked])
-                if idx is None or self.transformations[idx] != comp:
+                idx = key.get(t1.obj_map[t2.obj_map[marked]])
+                if idx is None or not _is_composite(
+                        self.transformations[idx], t1, t2, gens):
                     raise TheoremViolation(
                         "covering transformations are not closed under "
                         "composition")
@@ -106,6 +114,16 @@ class CovGroup:
             sub.as_group(), self.covering.total,
             tuple(self.transformations[k].obj_map for k in sub.elements),
             tuple(self.transformations[k].arr_map for k in sub.elements))
+
+
+def _is_composite(t: GroupoidMorphism, t1: GroupoidMorphism,
+                  t2: GroupoidMorphism, gens) -> bool:
+    """t = t1∘t2, for functors: compared on the generating set ``gens``,
+    or on every object and arrow when it is None."""
+    if gens is None:
+        return t == compose_morphisms(t1, t2)
+    a, a1, a2 = t.arr_map, t1.arr_map, t2.arr_map
+    return all(a[g] == a1[a2[g]] for g in gens)
 
 
 def covering_transformations(p: Covering) -> CovGroup:

@@ -1,14 +1,24 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from gpdcov import (Covering, CoveringFailure, FiniteGroup,
                     GroupoidMorphism, all_morphisms, check_covering,
-                    compose_morphisms, covering_morphisms,
-                    equivalent_coverings, fiber, fiber_transport, fold,
-                    group_groupoid, is_weak_equivalence, lift_arrow,
-                    lift_morphism, monodromy, omega, pushforward_vertex,
-                    require_covering, verified_covering, vertex_group)
+                    compose_morphisms, covering_from_subgroup,
+                    covering_morphisms, covering_transformations,
+                    equivalent_coverings, fiber, fibered_product,
+                    fiber_transport, fold, generators, group_groupoid,
+                    is_connected, is_weak_equivalence, lift_arrow,
+                    lift_morphism, monodromy, omega, orbit_groupoid,
+                    pushforward_vertex, require_covering, universal_cover,
+                    verified_covering, vertex_group)
 from gpdcov.covering import find_covering_isomorphism
+from gpdcov.documents import load_covering
 from gpdcov.errors import TheoremViolation
+
+from test_index import CORPUS, CORRUPTIONS
+from test_lifts import small_covers
 
 
 def test_identity_is_covering(c4):
@@ -302,6 +312,40 @@ def test_covering_attributes_are_read_only(cov02, name):
             delattr(cov02, name)
 
 
+def _built_coverings():
+    """One covering from each public path that makes one."""
+    c4 = group_groupoid(FiniteGroup.cyclic(4))
+    u = universal_cover(c4)
+    half = covering_from_subgroup(c4, 0, vertex_group(c4, 0).subgroup([0, 2]))
+    root = Path(__file__).resolve().parent.parent
+    return {
+        "check_covering": check_covering(GroupoidMorphism.identity(c4)),
+        "universal_cover": u,
+        "covering_from_subgroup": half,
+        "orbit_groupoid": orbit_groupoid(
+            covering_transformations(u).as_action()).covering,
+        "fibered_product": fibered_product(half, half).covering,
+        "load_covering": load_covering(
+            str(root / "tests" / "golden" / "universal-s3.out")),
+    }
+
+
+BUILT_COVERINGS = _built_coverings()
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_COVERINGS))
+def test_covering_witnesses_are_read_only(name):
+    cov = BUILT_COVERINGS[name]
+    k, lifted = next(iter(cov.witnesses[0].items()))
+    with pytest.raises(TypeError):
+        cov.witnesses[0][k] = cov.total.n_arrows
+    with pytest.raises(TypeError):
+        del cov.witnesses[0][k]
+    with pytest.raises(TypeError):
+        cov.witnesses[0][cov.base.n_arrows] = 0
+    assert cov.lift(k, 0) == lifted
+
+
 def test_mark_defaults_to_zero(c4, cov02):
     idc = require_covering(GroupoidMorphism.identity(c4))
     assert idc.marked_object is None and idc.mark == 0
@@ -335,3 +379,108 @@ def test_verified_covering_names_a_failed_star_check(i2, t1):
                        match="^collapse failed the covering check: star "
                              "map not injective"):
         verified_covering(collapse, "collapse")
+
+
+# -- functoriality on the generating set against the full scan ---------------
+
+def reference_functoriality_violations(m: GroupoidMorphism) -> list:
+    """The functoriality check that walks the whole source composition
+    table, kept verbatim as an oracle."""
+    src, dst = m.source, m.target
+    bad = []
+    for a in src.arrows:
+        fa = m.arr_map[a]
+        if dst.dom[fa] != m.obj_map[src.dom[a]]:
+            bad.append(f"arrow {a}: image dom mismatch")
+        if dst.cod[fa] != m.obj_map[src.cod[a]]:
+            bad.append(f"arrow {a}: image cod mismatch")
+    for x in src.objects:
+        if m.arr_map[src.identity[x]] != dst.identity[m.obj_map[x]]:
+            bad.append(f"object {x}: identity not preserved")
+    for (f, h), v in src.compose.items():
+        img = dst.compose.get((m.arr_map[f], m.arr_map[h]))
+        if img != m.arr_map[v]:
+            bad.append(f"pair ({f}, {h}): composition not preserved")
+    return bad
+
+
+def _identities_and_lifts(name):
+    """Morphisms out of one generated groupoid and its coverings: the
+    identity, the projections of its small covers, and for a connected
+    base the covering transformations of each connected cover and the
+    lifts of the universal projection through every cover."""
+    g = CORPUS[name]
+    covers = small_covers(name)
+    out = [GroupoidMorphism.identity(g)] + [p.morphism for p in covers]
+    if is_connected(g):
+        u = universal_cover(g)
+        over = u.morphism.obj_map[u.mark]
+        for p in covers:
+            if is_connected(p.total):
+                out += covering_transformations(p).transformations
+            out += [lift_morphism(p, u.morphism, u.mark, seed)
+                    for seed in p.fibers[over]]
+    return out
+
+
+def _mutations(m: GroupoidMorphism, rng):
+    """m with one arrow image moved to a parallel arrow (when some
+    non-identity arrow has one), with one arrow image moved to any other
+    arrow, and with one object image moved."""
+    src, dst = m.source, m.target
+
+    def moved(a, choices):
+        arr_map = list(m.arr_map)
+        arr_map[a] = rng.choice(choices)
+        return GroupoidMorphism(src, dst, m.obj_map, arr_map)
+
+    def parallel(a):
+        fa = m.arr_map[a]
+        return [b for b in dst.hom(dst.dom[fa], dst.cod[fa]) if b != fa]
+
+    movable = [a for a in src.arrows
+               if a not in src.identity and parallel(a)]
+    if movable:
+        a = rng.choice(movable)
+        yield moved(a, parallel(a))
+    a = rng.choice(src.arrows)
+    others = [b for b in dst.arrows if b != m.arr_map[a]]
+    if others:
+        yield moved(a, others)
+    x = rng.choice(src.objects)
+    others = [y for y in dst.objects if y != m.obj_map[x]]
+    if others:
+        obj_map = list(m.obj_map)
+        obj_map[x] = rng.choice(others)
+        yield GroupoidMorphism(src, dst, obj_map, m.arr_map)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_functoriality_matches_full_scan(name):
+    rng = random.Random(name)
+    parallel = 0
+    for m in _identities_and_lifts(name):
+        assert m.functoriality_violations() == \
+            reference_functoriality_violations(m) == []
+        for bad in _mutations(m, rng):
+            got = bad.functoriality_violations()
+            assert got and got == reference_functoriality_violations(bad)
+            parallel += all("composition" in msg for msg in got)
+    g = CORPUS[name]
+    if any(len(g.loops(x)) > 1 for x in g.objects):
+        assert parallel  # some mutation is caught by composition alone
+
+
+def test_functoriality_without_generators_scans_the_table():
+    """A source table with an entry missing has no certified generating
+    set; the full scan then runs and matches the oracle, on the inclusion
+    and on the map sending each arrow to its inverse."""
+    g = CORPUS["codiscrete-2-x-s3-shuffled"]
+    for seed in range(3):
+        broken = CORRUPTIONS["missing-entry"](g, random.Random(seed))
+        assert generators(broken) is None
+        shifted = [g.inverse[a] for a in g.arrows]
+        for m in (GroupoidMorphism(broken, g, g.objects, g.arrows),
+                  GroupoidMorphism(broken, g, g.objects, shifted)):
+            assert m.functoriality_violations() == \
+                reference_functoriality_violations(m)

@@ -3,7 +3,8 @@
 ``star``, ``hom`` and ``loops`` are compared with scans over every arrow,
 and :func:`validate` with :func:`reference_validate`, the implementation
 that scans all pairs and triples of arrows, on generated groupoids and on
-corrupted copies of them.
+corrupted copies of them.  The generating set that certifies
+associativity is checked against a closure over all pairs of its arrows.
 """
 
 import random
@@ -12,8 +13,9 @@ import pytest
 
 from gpdcov import (FiniteGroup, FiniteGroupoid, codiscrete_groupoid,
                     component_subgroupoid, components, disjoint_union,
-                    group_groupoid, opposite, partition, star, subgroupoid,
-                    trivial_groupoid, universal_cover, validate)
+                    generators, group_groupoid, opposite, partition, star,
+                    subgroupoid, trivial_groupoid, universal_cover,
+                    validate)
 from gpdcov.groupoid import ValidationReport, Violation
 
 
@@ -368,6 +370,95 @@ def test_validate_matches_reference_on_corruptions(corruption, base, seed):
     report = validate(broken)
     assert not report.ok
     assert report.violations == reference_validate(broken).violations
+
+
+def _every_single_entry_corruption(g):
+    """g with one composition entry changed to each other arrow with the
+    same endpoints, for every entry."""
+    for key, v in sorted(g.compose.items()):
+        for other in g.hom(g.dom[v], g.cod[v]):
+            if other != v:
+                yield _rebuild(g, compose=_set((key, other)))
+
+
+@pytest.mark.parametrize("name", ["s3", "codiscrete-2-x-c3",
+                                  "codiscrete-3-x-c2-shuffled"])
+def test_validate_matches_reference_on_every_changed_entry(name):
+    """Light's test must catch a changed composite wherever it sits, not
+    only on the pairs that involve a generator."""
+    for broken in _every_single_entry_corruption(CORPUS[name]):
+        report = validate(broken)
+        assert not report.ok
+        assert report.violations == reference_validate(broken).violations
+
+
+# -- the generating set ------------------------------------------------------
+
+def closure_under_composition(g: FiniteGroupoid, arrows, left=None) -> set:
+    """The arrows that are composites of the given ones, by brute force
+    over all pairs until nothing new appears.  With ``left``, only the
+    composites a∘w with a in ``left`` are taken."""
+    got = set(arrows)
+    changed = True
+    while changed:
+        new = {g.compose[(f, h)] for f in (got if left is None else left)
+               for h in got if g.cod[h] == g.dom[f]} - got
+        got |= new
+        changed = bool(new)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_generators_hold_identities_and_inverses_and_generate(name):
+    g = CORPUS[name]
+    gens = generators(g)
+    assert gens is not None and gens == tuple(sorted(set(gens)))
+    assert set(g.identity) <= set(gens)
+    assert {g.inverse[a] for a in gens} == set(gens)
+    assert closure_under_composition(g, gens) == set(g.arrows)
+    assert generators(g) is gens
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_generators_are_a_tree_and_loop_generators(name):
+    """Besides the identities, the set holds a spanning tree of each
+    component with the inverses of its arrows, and loops at the least
+    object of each component only, each new loop at least doubling the
+    group that the earlier ones generate."""
+    g = CORPUS[name]
+    gens = set(generators(g)) - set(g.identity)
+    loops = {a for a in gens if g.dom[a] == g.cod[a]}
+    tree = gens - loops
+    roots = [block[0] for block in components(g).blocks]
+    assert len(tree) == 2 * (g.n_objects - len(roots))
+    assert partition(g.n_objects, ((g.dom[a], g.cod[a]) for a in tree)) \
+        == components(g)
+    assert {g.dom[a] for a in loops} <= set(roots)
+    for r in roots:
+        at_r = sum(1 for a in loops if g.dom[a] == r)
+        assert 2 ** (at_r // 2) <= len(g.loops(r))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("base", BASES)
+def test_generators_are_none_on_a_missing_entry(base, seed):
+    rng = random.Random(f"missing-entry/{base}/{seed}")
+    assert generators(_missing_entry(CORPUS[base], rng)) is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_generators_never_raise_on_corruptions(corruption, base, seed):
+    """On a broken table the result is None or a set that generates
+    every arrow from the identities by composing on the left."""
+    rng = random.Random(f"{corruption}/{base}/{seed}")
+    broken = CORRUPTIONS[corruption](CORPUS[base], rng)
+    gens = generators(broken)
+    if gens is not None:
+        assert set(broken.identity) <= set(gens)
+        assert closure_under_composition(
+            broken, broken.identity, left=gens) == set(broken.arrows)
 
 
 def test_out_of_range_endpoints_stay_out_of_the_index():

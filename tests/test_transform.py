@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
-from gpdcov import (FiniteGroup, GroupoidMorphism, all_morphisms,
-                    compose_morphisms, cov_normalizer_iso,
+from gpdcov import (CovGroup, FiniteGroup, GroupoidMorphism, TheoremViolation,
+                    all_morphisms, compose_morphisms, cov_normalizer_iso,
                     covering_transformations, fold, induced_f_sharp,
                     is_isomorphic, is_regular, lift_morphism,
                     principal_action_check, pushforward_vertex,
                     universal_cover)
 from gpdcov.groups import find_isomorphism
+
+from test_index import CORPUS
+from test_lifts import CONNECTED, subgroup_covers
 
 
 def test_identity_covering_has_trivial_cov_group(id_c4):
@@ -184,3 +189,82 @@ def test_f_sharp_rejects_non_cover(c4, c4_univ, cov02):
     with pytest.raises(ValueError):
         induced_f_sharp(ident, GroupoidMorphism.identity(c4_univ.total),
                         c4_univ, cov02, 0)  # cov02 is not universal
+
+
+# -- the closure check of CovGroup against the composing loop -----------------
+
+def reference_cov_table(transformations, marked: int) -> tuple:
+    """The composition table of Cov, built by composing every pair of
+    transformations and comparing the composite with the transformation
+    named by its image of the marked object, as CovGroup once did."""
+    key = {t.obj_map[marked]: i for i, t in enumerate(transformations)}
+    table = []
+    for t1 in transformations:
+        row = []
+        for t2 in transformations:
+            comp = compose_morphisms(t1, t2)
+            idx = key.get(comp.obj_map[marked])
+            if idx is None or transformations[idx] != comp:
+                raise TheoremViolation(
+                    "covering transformations are not closed under "
+                    "composition")
+            row.append(idx)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _connected_covers(name):
+    g = CORPUS[name]
+    return subgroup_covers(g) + [universal_cover(g)]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except TheoremViolation as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", CONNECTED)
+def test_cov_table_matches_composing_every_pair(name):
+    for p in _connected_covers(name):
+        cov = covering_transformations(p)
+        assert cov.group.table == reference_cov_table(cov.transformations,
+                                                      cov.marked)
+
+
+def _automorphism(total, perm):
+    """The automorphism of a codiscrete groupoid that permutes its
+    objects by ``perm``."""
+    return GroupoidMorphism(
+        total, total, perm,
+        [total.hom(perm[total.dom[a]], perm[total.cod[a]])[0]
+         for a in total.arrows])
+
+
+@pytest.mark.parametrize("name", ["codiscrete-2-x-c3", "s3",
+                                  "codiscrete-2-x-s3-shuffled"])
+def test_cov_group_rejects_what_the_composing_loop_rejects(name):
+    """A set that misses a transformation, or holds an automorphism that
+    agrees with a transformation on the marked object only, is refused
+    with the composing loop's message."""
+    p = universal_cover(CORPUS[name])
+    cov = covering_transformations(p)
+    ts, marked = cov.transformations, cov.marked
+    rng = random.Random(name)
+    others = [i for i in range(cov.order) if i != cov.group.identity]
+    dropped = list(ts)
+    del dropped[rng.choice(others)]
+    # The universal total is codiscrete: every object permutation is an
+    # automorphism.  Keep the marked image of ts[k] and move two others.
+    k = rng.choice(others)
+    perm = list(ts[k].obj_map)
+    x, y = rng.sample([z for z in p.total.objects if z != marked], 2)
+    perm[x], perm[y] = perm[y], perm[x]
+    impostor = list(ts)
+    impostor[k] = _automorphism(p.total, perm)
+    for bad in (dropped, impostor):
+        got = _outcome(lambda: CovGroup(p, bad, cov.base_object, marked))
+        want = _outcome(lambda: reference_cov_table(bad, marked))
+        assert got == want == ("covering transformations are not closed "
+                               "under composition")
