@@ -22,6 +22,7 @@ action of the base vertex group on the fiber.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -640,28 +641,39 @@ def covering_morphisms(p: Covering, q: Covering, cap: int = 100000):
             for combo in itertools.product(*per_block)]
 
 
+def _tree_images(src: FiniteGroupoid, block, dst: FiniteGroupoid, over):
+    """The spanning arrows t_x: x -> root of the component ``block``
+    (root = block[0]), and a (y0, stars) pair per candidate image y0 of
+    the root, stars[i] holding the arrows into y0 that may image the i-th
+    t_x.  ``over=(q, f)`` filters both, looking up no witness: y0 with
+    q(y0) = f(root), and every u with q(u) = f(t_x)."""
+    root = block[0]
+    tree = {x: src.hom(x, root)[0] for x in block[1:]}
+    if over is None:
+        return tree, [(y, [dst._into[y]] * len(tree)) for y in dst.objects]
+    q, f = over
+    return tree, [(y, [[u for u in dst._into[y]
+                        if q.arr_map[u] == f.arr_map[t]]
+                       for t in tree.values()])
+                  for y, b in enumerate(q.obj_map) if b == f.obj_map[root]]
+
+
 def _connected_morphisms(src: FiniteGroupoid, block, dst: FiniteGroupoid,
-                         iso_objects: bool):
-    """Yield all morphisms from the full subgroupoid on the connected
-    object set ``block`` into dst, as (obj_img, arr_img) dict pairs.
+                         iso_objects: bool, over=None):
+    """Yield all morphisms from the component ``block`` of src into dst,
+    as (obj_img, arr_img) dict pairs.
 
     Every morphism factors as: pick the image y0 of the root, a vertex
     group homomorphism at the root, and one arrow into y0 for each other
     object (the image of a fixed spanning arrow).  With ``iso_objects`` the
-    object images are forced to be distinct.
+    object images are forced to be distinct.  With ``over=(q, f)`` each
+    choice is kept only when q maps it to f's image (:func:`_tree_images`),
+    which yields exactly the m with q∘m = f on the block, in order.
     """
     root = block[0]
-    tree = {root: None}
-    for x in block[1:]:
-        hom_arrows = src.hom(x, root)
-        if not hom_arrows:
-            # connected in the zigzag sense means hom is nonempty already
-            raise ValueError("object set is not connected")
-        tree[x] = hom_arrows[0]
+    tree, choices = _tree_images(src, block, dst, over)
     vg_src = vertex_group(src, root)
-    others = tuple(x for x in block if x != root)
-    block_arrows = [a for a in src.arrows
-                    if src.dom[a] in tree and src.cod[a] in tree]
+    block_arrows = sorted(a for x in block for a in src._into[x])
     # conjugate each arrow into a loop at the root: t_y ∘ a ∘ t_x⁻¹
     loop_index = {}
     for a in block_arrows:
@@ -672,21 +684,19 @@ def _connected_morphisms(src: FiniteGroupoid, block, dst: FiniteGroupoid,
         if y != root:
             loop = src.compose_arrows(tree[y], loop)
         loop_index[a] = vg_src.index_by_arrow[loop]
-    for y0 in dst.objects:
+    want = over and [over[1].arr_map[a] for a in vg_src.arrows]
+    compose, inv = dst.compose, dst.inverse
+    for y0, stars in choices:
         vg_dst = vertex_group(dst, y0)
-        homs = list(all_homomorphisms(vg_src, vg_dst))
-        star_y0 = dst._into[y0]
-        compose = dst.compose
-        inv = dst.inverse
+        homs = [h for h in all_homomorphisms(vg_src, vg_dst) if not want
+                or [over[0].arr_map[vg_dst.arrows[i]] for i in h] == want]
         for h in homs:
             if iso_objects and len(set(h)) != vg_src.order:
                 continue
             mapped = {a: vg_dst.arrows[h[loop_index[a]]]
                       for a in block_arrows}
-            for choice in itertools.product(star_y0, repeat=len(others)):
-                u = {root: dst.identity[y0]}
-                for x, ua in zip(others, choice):
-                    u[x] = ua
+            for choice in itertools.product(*stars):
+                u = {root: dst.identity[y0], **dict(zip(tree, choice))}
                 obj_img = {x: dst.dom[u[x]] for x in block}
                 if iso_objects and len(set(obj_img.values())) != len(block):
                     continue
@@ -698,23 +708,30 @@ def _connected_morphisms(src: FiniteGroupoid, block, dst: FiniteGroupoid,
 
 
 def all_morphisms(src: FiniteGroupoid, dst: FiniteGroupoid,
-                  cap: int = 200000):
+                  cap: int = 200000, over=None):
     """Yield every groupoid morphism src -> dst (exhaustive; desk scale).
 
-    Raises if a cheap upper bound on the candidate count exceeds ``cap``.
+    ``over=(q, f)``, for functors q: dst -> B and f: src -> B, keeps the m
+    with q∘m = f, in the same order.  It filters every choice of the
+    search and never looks up a witness, so q need not be a covering.
+
+    Raises if a cheap upper bound on the candidate count (with ``over``,
+    the restricted count) exceeds ``cap``.
     """
+    if over and not (over[0].source == dst and over[1].source == src
+                     and over[0].target == over[1].target):
+        raise ValueError("over=(q, f) needs q: dst -> B and f: src -> B")
     parts = components(src)
     bound = 1
     for block in parts.blocks:
         gens = len(generating_set(vertex_group(src, block[0])))
-        per = 0
-        for y0 in dst.objects:
-            per += (vertex_group(dst, y0).order ** gens
-                    ) * max(1, len(dst._into[y0])) ** (len(block) - 1)
+        per = sum(len(dst.loops(y0)) ** gens * math.prod(map(len, stars))
+                  for y0, stars in _tree_images(src, block, dst, over)[1])
         bound *= max(per, 1)
         if bound > cap:
             raise ValueError(f"morphism enumeration bound exceeds {cap}")
-    gens = [list(_connected_morphisms(src, block, dst, iso_objects=False))
+    gens = [list(_connected_morphisms(src, block, dst, iso_objects=False,
+                                      over=over))
             for block in parts.blocks]
     for combo in itertools.product(*gens):
         yield glue_morphism(src, dst, combo)

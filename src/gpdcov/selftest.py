@@ -3,7 +3,7 @@
 Each check below is exact (no tolerances; the domain is finite) and is
 phrased against an independent oracle where one exists: pushforwards are
 recomputed from loop images, uniqueness of lifts is confirmed by
-exhaustive morphism enumeration over spanning trees, lattice meets/joins
+exhaustive morphism enumeration over the fiber, lattice meets/joins
 are recomputed geometrically from pullback components and pushouts, and
 hom-set bijections are produced by full double enumeration.
 
@@ -138,20 +138,17 @@ def _lift_triples():
     return triples
 
 
-def check_unique_lifting(enumeration_bound: int = 50000):
+def check_unique_lifting():
     """Lift exists iff the loop-image group lands in the pushforward;
     existing lifts are unique, confirmed by independent exhaustive
-    enumeration whenever the spanning-tree bound stays tractable."""
-    tested, enumerated = 0, 0
+    enumeration of the morphisms over f."""
+    checked = 0
     for p, f, flabel in _lift_triples():
         f0 = 0
         loop_imgs = {f.arr_map[a] for a in f.source.loops(f0)}
-        try:
-            over_f = [m for m in all_morphisms(f.source, p.total,
-                                               cap=enumeration_bound)
-                      if compose_morphisms(p.morphism, m) == f]
-        except ValueError:
-            over_f = None  # enumeration bound exceeded for this pair
+        over_f = [m for m in all_morphisms(f.source, p.total,
+                                           over=(p.morphism, f))
+                  if compose_morphisms(p.morphism, m) == f]
         for seed in p.fibers[f.obj_map[f0]]:
             seed_imgs = {p.morphism.arr_map[a]
                          for a in p.total.loops(seed)}
@@ -160,21 +157,17 @@ def check_unique_lifting(enumeration_bound: int = 50000):
             if (got is not None) != expected:
                 return False, (f"{flabel}: lift existence disagrees with "
                                f"the subgroup criterion at seed {seed}")
-            tested += 1
-            if over_f is None:
-                continue
             candidates = [m for m in over_f if m.obj_map[f0] == seed]
-            enumerated += 1
-            want = 1 if expected else 0
-            if len(candidates) != want:
+            if len(candidates) != (1 if expected else 0):
                 return False, (f"{flabel}: exhaustive search found "
                                f"{len(candidates)} lifts at seed {seed}")
             if candidates and not (
                     candidates[0].obj_map == got.obj_map
                     and candidates[0].arr_map == got.arr_map):
                 return False, f"{flabel}: enumerated lift differs"
-    return True, (f"{tested} seeded lifts checked, "
-                  f"{enumerated} confirmed by full enumeration")
+            checked += 1
+    return True, (f"{checked} seeded lifts checked, "
+                  f"{checked} confirmed by full enumeration")
 
 
 def check_cov_group_theorems():

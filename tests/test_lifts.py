@@ -6,7 +6,9 @@
 The constructions they replaced, which build identity, inverse and
 composition tables by hand, are kept verbatim below as ``reference_*``.
 On the generated groupoids of ``test_index.py`` and on coverings of them,
-both must give the same ids, tables and labels.
+both must give the same ids, tables and labels.  The search of
+``all_morphisms`` restricted to the morphisms over f is compared with
+filtering the full enumeration, ``reference_morphisms_over``.
 """
 
 import itertools
@@ -15,11 +17,13 @@ import pytest
 
 from gpdcov import (Covering, FiniteGroup, FiniteGroupoid, GroupoidMorphism,
                     TheoremViolation, all_morphisms, check_covering,
-                    covering_from_subgroup, covering_to_presheaf,
+                    codiscrete_groupoid, covering_from_subgroup,
+                    covering_morphisms, covering_to_presheaf,
                     disjoint_union, exponential, fiber, fiber_transport,
                     fold, group_groupoid, is_connected, omega,
-                    pullback_covering, require_covering, universal_cover,
-                    vertex_group)
+                    pullback_covering, require_covering, trivial_groupoid,
+                    universal_cover, vertex_group)
+from gpdcov import covering as covering_module
 from gpdcov.classify import PullbackCovering
 from gpdcov.covering import (_iso_over, _propagate_lift, components,
                              compose_morphisms, covering_of_lifts,
@@ -27,6 +31,7 @@ from gpdcov.covering import (_iso_over, _propagate_lift, components,
                              glue_morphism, groupoid_isomorphisms,
                              lift_morphism)
 from gpdcov.groupoid import relabeled
+from gpdcov.selftest import _lift_triples
 from gpdcov.topos import ExponentialCovering, Omega, presheaf_to_covering
 
 from test_index import CORPUS
@@ -357,6 +362,13 @@ def reference_find_covering_isomorphism(p, q):
 
 # -- comparison ---------------------------------------------------------------
 
+def reference_morphisms_over(q, f, cap=200000):
+    """The morphisms m: f.source -> q.source with q∘m = f, in the order of
+    the full enumeration, by filtering that enumeration."""
+    return [m for m in all_morphisms(f.source, q.source, cap=cap)
+            if compose_morphisms(q, m) == f]
+
+
 def assert_same_groupoid(got, want):
     assert got.n_objects == want.n_objects
     assert got.dom == want.dom and got.cod == want.cod
@@ -574,3 +586,97 @@ def test_presheaf_maps_match_fiber_transport(name, monkeypatch):
             ps = covering_to_presheaf(cov)
         assert [list(ps.maps[g].items()) for g in cov.base.arrows] == \
             [list(want[g].items()) for g in cov.base.arrows]
+
+
+# -- the search over f --------------------------------------------------------
+
+REFERENCE_CAP = 2000  # past it the full enumeration takes seconds per base
+
+
+def maps_of(morphisms):
+    return [(m.obj_map, m.arr_map) for m in morphisms]
+
+
+def morphisms_over(q, f, **kwargs):
+    return list(all_morphisms(f.source, q.source, over=(q, f), **kwargs))
+
+
+def test_search_over_f_matches_reference_on_lift_triples():
+    """The lift pairs of acceptance #4 except the six along the S3 fold-6
+    projection, which the acceptance check itself covers."""
+    triples = [(p, f) for p, f, label in _lift_triples()
+               if label != "S3 cover fold 6"]
+    assert len(triples) == 48
+    for p, f in triples:
+        got = morphisms_over(p.morphism, f)
+        assert maps_of(got) == maps_of(reference_morphisms_over(p.morphism,
+                                                                f))
+        assert all(m.source is f.source and m.target is p.total
+                   for m in got)
+
+
+@pytest.mark.parametrize("name", CONNECTED)
+def test_search_over_f_matches_reference(name):
+    """Every pair whose full enumeration stays within REFERENCE_CAP; the
+    pairs along a covering projection are all compared with
+    ``covering_morphisms`` below."""
+    compared = 0
+    for p in small_covers(name):
+        for f in _morphisms_into(name):
+            try:
+                want = reference_morphisms_over(p.morphism, f,
+                                                cap=REFERENCE_CAP)
+            except ValueError:
+                continue
+            assert maps_of(morphisms_over(p.morphism, f)) == maps_of(want)
+            compared += 1
+    assert compared >= len(small_covers(name))
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_search_over_a_covering_matches_covering_morphisms(name):
+    for p, q in itertools.product(small_covers(name), repeat=2):
+        assert maps_of(morphisms_over(p.morphism, q.morphism)) == \
+            maps_of(covering_morphisms(q, p))
+
+
+def test_search_over_f_does_not_assume_a_covering():
+    """q: codiscrete(2) -> trivial is no covering, and all four
+    endomorphisms of codiscrete(2) lie over it."""
+    i2 = codiscrete_groupoid(2)
+    q = GroupoidMorphism(i2, trivial_groupoid(), (0, 0), (0,) * i2.n_arrows)
+    want = reference_morphisms_over(q, q)
+    assert len(want) == 4
+    assert maps_of(morphisms_over(q, q)) == maps_of(want)
+
+
+def test_search_over_f_bounds_and_visits_only_the_fiber(monkeypatch):
+    """The bound counts the restricted candidates, and homomorphisms are
+    enumerated into the fiber objects only."""
+    g = codiscrete_groupoid(3)
+    point = trivial_groupoid()
+    f = GroupoidMorphism(point, g, (1,), (g.identity[1],))
+    q = GroupoidMorphism.identity(g)
+    assert maps_of(morphisms_over(q, f, cap=1)) == maps_of([f])
+    with pytest.raises(ValueError, match="bound exceeds 1"):
+        list(all_morphisms(point, g, cap=1))
+    calls = []
+    original = covering_module.all_homomorphisms
+
+    def counted(source, target):
+        calls.append(target.at)
+        return original(source, target)
+
+    monkeypatch.setattr(covering_module, "all_homomorphisms", counted)
+    f = GroupoidMorphism.identity(CORPUS["codiscrete-2-x-c3"])
+    for p in small_covers("codiscrete-2-x-c3"):
+        calls.clear()
+        morphisms_over(p.morphism, f)
+        assert calls == list(p.fibers[0]) != list(p.total.objects)
+
+
+def test_search_over_f_rejects_mismatched_maps():
+    g = codiscrete_groupoid(2)
+    ident = GroupoidMorphism.identity(g)
+    with pytest.raises(ValueError, match="over="):
+        list(all_morphisms(trivial_groupoid(), g, over=(ident, ident)))

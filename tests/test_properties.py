@@ -6,8 +6,10 @@ The certified checks are compared with their full-scan oracles:
 :func:`validate` with ``reference_validate`` on single-entry
 corruptions, and ``functoriality_violations`` with
 ``reference_functoriality_violations`` on identity morphisms with moved
-arrow images.  hypothesis is imported directly: without it this module
-fails to collect instead of being skipped.
+arrow images.  On coset covers of connected codiscrete(k) × G with k ≤ 2
+and |G| ≤ 6, the search of ``all_morphisms`` over f is compared with
+``reference_morphisms_over``.  hypothesis is imported directly: without
+it this module fails to collect instead of being skipped.
 """
 
 import random
@@ -15,12 +17,13 @@ import random
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from gpdcov import (FiniteGroup, GroupoidMorphism, disjoint_union,
-                    generators, validate)
+from gpdcov import (FiniteGroup, GroupoidMorphism, covering_from_subgroup,
+                    disjoint_union, generators, validate, vertex_group)
 
 from test_covering import reference_functoriality_violations
 from test_index import (CORRUPTIONS, closure_under_composition,
                         codiscrete_times_group, reference_validate, shuffled)
+from test_lifts import maps_of, morphisms_over, reference_morphisms_over
 
 MAX_ARROWS = 72  # keeps the triple scan of reference_validate quick
 
@@ -117,3 +120,34 @@ def test_functoriality_matches_reference_on_moved_arrows(g, moves):
     m = GroupoidMorphism(g, g, g.objects, arr_map)
     assert m.functoriality_violations() == \
         reference_functoriality_violations(m)
+
+
+# Subgroups of S_3 on 0..2, cyclic subgroups of S_4 and subgroups of the
+# Klein four-group: every G here has |G| ≤ 6.
+SMALL_GROUP_GENERATORS = st.one_of(
+    st.lists(st.permutations(range(3)).map(lambda p: tuple(p) + (3,)),
+             min_size=1, max_size=2),
+    st.permutations(range(4)).map(lambda p: [p]),
+    st.lists(st.sampled_from([(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]),
+             min_size=1, max_size=2))
+
+
+@SETTINGS
+@given(SMALL_GROUP_GENERATORS, st.integers(1, 2), st.integers(0, 2 ** 16),
+       st.data())
+def test_search_over_f_matches_reference_on_coset_covers(gens, k, seed,
+                                                         data):
+    """p is a coset cover and f the identity or another coset cover's
+    projection, whose total has at most three objects so that the full
+    enumeration of the oracle stays small."""
+    g = shuffled(codiscrete_times_group(k, permutation_group(gens)), seed)
+    x = data.draw(st.sampled_from(g.objects))
+    subgroups = vertex_group(g, x).subgroups()
+    p = covering_from_subgroup(g, x, data.draw(st.sampled_from(subgroups)))
+    f = GroupoidMorphism.identity(g)
+    if data.draw(st.booleans()):
+        small = [h for h in subgroups if k * h.index <= 3]
+        f = covering_from_subgroup(
+            g, x, data.draw(st.sampled_from(small))).morphism
+    assert maps_of(morphisms_over(p.morphism, f)) == \
+        maps_of(reference_morphisms_over(p.morphism, f))
