@@ -17,7 +17,9 @@ Naming note: on the subgroup side, meet = intersection and join =
 generated subgroup.  Geometrically the meet corresponds to the marked
 component of the fibered product over G, and the join to the pushout
 under the universal cover.  The meet is checked by one pointed lift into
-the product, which tells the intersection node from a conjugate one.
+that component, which tells the intersection node from a conjugate one;
+the component is grown from the marked pair by unique lifting, and the
+rest of the product is never built.
 The orbit morphism of Π identifies the Π-orbits, so the pushout of two
 of them identifies what either identifies: it is built by joining their
 partitions of total(u), with no group of transformations in between.
@@ -28,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .covering import (Covering, GroupoidMorphism, components,
-                       compose_morphisms, covering_of_lifts, factor_through,
-                       fold, lift_morphism, verified_covering)
+from .covering import (Covering, GroupoidMorphism, compose_morphisms,
+                       covering_of_lifts, factor_through, fold,
+                       lift_morphism, verified_covering)
 from .construct import (OrbitGroupoid, orbit_groupoid, quotient_covering,
                         universal_cover)
 from .groupoid import FiniteGroupoid, is_connected, partition, vertex_group
@@ -271,30 +273,58 @@ def classify_covering(lattice: GaloisLattice, q: Covering) -> CoveringClass:
     return lattice.node_for_subgroup(sub)
 
 
+def _marked_component(p: Covering, q: Covering, start):
+    """The component of the fibered product of p and q holding ``start``
+    = (object of total(q), object of total(p)), marked there, with its
+    object and arrow pairs.  It is grown breadth first: the arrows into
+    (y, x) over c pair the lifts into y and x of each base arrow into c,
+    so their domains close it under whole stars, i.e. the component."""
+    base = p.base
+    pos = {start: 0}
+    obj_pairs = [start]
+    over = [q.morphism.obj_map[start[0]]]
+    arrows, arr_pairs = [], []
+    for c, (y, x) in enumerate(obj_pairs):  # grows while it is walked
+        for g in base._into[over[c]]:
+            u, v = q.lift(g, y), p.lift(g, x)
+            d = (q.total.dom[u], p.total.dom[v])
+            if d not in pos:
+                pos[d] = len(obj_pairs)
+                obj_pairs.append(d)
+                over.append(base.dom[g])
+            arrows.append((g, pos[d], c))
+            arr_pairs.append((u, v))
+    cov = covering_of_lifts(
+        base, over, arrows,
+        tuple(f"({q.total.obj_labels[y]},{p.total.obj_labels[x]})"
+              for y, x in obj_pairs),
+        tuple(f"({q.total.arr_labels[u]},{p.total.arr_labels[v]})"
+              for u, v in arr_pairs),
+        "pullback component", 0)
+    return cov, tuple(obj_pairs), tuple(arr_pairs)
+
+
 def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:
     """The node of the subgroup intersection, verified by one pointed lift
-    of its covering into the fibered product at the marked pair; by unique
-    lifting (Brown, *Topology and Groupoids*, ch. 10) the lift must be a
-    bijection onto the marked component."""
+    of its covering into the marked component of the fibered product,
+    which is grown from the marked pair alone; by unique lifting (Brown,
+    *Topology and Groupoids*, ch. 10) the lift must be a bijection onto
+    that component."""
     if a.lattice is None or a.lattice is not b.lattice:
         raise ValueError("classes must belong to one lattice")
     lat = a.lattice
-    prod = fibered_product(a.covering, b.covering)
     marked = lat.universal.mark
-    # obj_pairs carry (second factor, first factor); see fibered_product
-    pair = (b.orbit.projection.obj_map[marked],
-            a.orbit.projection.obj_map[marked])
-    marked_obj = prod.obj_pairs.index(pair)
+    # pairs carry (second factor, first factor), as in fibered_product
+    comp, _, _ = _marked_component(
+        a.covering, b.covering,
+        (b.orbit.projection.obj_map[marked],
+         a.orbit.projection.obj_map[marked]))
     node = lat.nodes[lat.meet(lat.index_of(a), lat.index_of(b))]
     expect = node.covering
-    m = lift_morphism(prod.covering, expect.morphism, expect.mark, marked_obj)
-    total = prod.covering.total
-    parts = components(total)
-    block = parts.blocks[parts.index[marked_obj]]
+    m = lift_morphism(comp, expect.morphism, expect.mark, comp.mark)
     n, k = expect.total.n_objects, expect.total.n_arrows
     if (m is None or len(set(m.obj_map)) != n or len(set(m.arr_map)) != k
-            or len(block) != n
-            or sum(len(total._into[x]) for x in block) != k):
+            or comp.total.n_objects != n or comp.total.n_arrows != k):
         raise TheoremViolation(
             "pullback component is not equivalent to the intersection "
             "node (lattice meet law)")

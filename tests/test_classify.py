@@ -1,6 +1,7 @@
 from functools import lru_cache
 from pathlib import Path
 
+import networkx
 import pytest
 
 from gpdcov import (FiniteGroupoid, GroupoidMorphism, TheoremViolation,
@@ -9,7 +10,8 @@ from gpdcov import (FiniteGroupoid, GroupoidMorphism, TheoremViolation,
                     fibered_product, is_connected, meet_covering,
                     pullback_covering, pushout_covering, trivial_groupoid,
                     universal_cover, verified_covering, vertex_group)
-from gpdcov.classify import PushoutResult, _induced_on_quotient
+from gpdcov.classify import (PushoutResult, _induced_on_quotient,
+                             _marked_component)
 from gpdcov.construct import GroupAction, orbit_groupoid
 from gpdcov.documents import load_groupoid
 from gpdcov.groups import FiniteGroup
@@ -387,9 +389,54 @@ def test_meet_checks_injectivity_and_counts_apart(lat_s3, monkeypatch):
             meet_covering(a, a)
 
 
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_meet_component_is_the_marked_block_of_the_product(name):
+    """The breadth-first walk of the meet reaches exactly the marked block
+    of the full fibered product: the same object pairs and the same arrow
+    pairs, each once.  The block is also networkx's connected component of
+    the product's dom–cod graph."""
+    lat = lattice_of(name)
+    marked = lat.universal.mark
+    for a in lat.nodes:
+        for b in lat.nodes:
+            # (second factor, first factor), as in fibered_product
+            start = (b.orbit.projection.obj_map[marked],
+                     a.orbit.projection.obj_map[marked])
+            comp, obj_pairs, arr_pairs = _marked_component(
+                a.covering, b.covering, start)
+            assert obj_pairs[0] == start and comp.marked_object == 0
+            assert comp.total.n_objects == len(obj_pairs)
+            assert comp.total.n_arrows == len(arr_pairs)
+            prod = fibered_product(a.covering, b.covering)
+            total = prod.covering.total
+            marked_obj = prod.obj_pairs.index(start)
+            parts = components(total)
+            block = parts.blocks[parts.index[marked_obj]]
+            block_arrows = [k for x in block for k in total._into[x]]
+            assert len(obj_pairs) == len(set(obj_pairs)) == len(block)
+            assert set(obj_pairs) == {prod.obj_pairs[x] for x in block}
+            assert len(arr_pairs) == len(set(arr_pairs)) == \
+                len(block_arrows)
+            assert set(arr_pairs) == \
+                {prod.arr_pairs[k] for k in block_arrows}
+            graph = networkx.Graph()
+            graph.add_nodes_from(total.objects)
+            graph.add_edges_from(zip(total.dom, total.cod))
+            assert networkx.node_connected_component(graph, marked_obj) \
+                == set(block)
+
+
 def test_meet_builds_one_groupoid(lat_s3, monkeypatch):
-    """One call builds the fibered product's total and nothing else: no
-    component copy."""
+    """One call builds one groupoid, the marked component of the fibered
+    product, with exactly the objects and arrows of the meet node's
+    total; it builds neither the pullback nor the full product."""
+    import gpdcov.classify as classify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by meet_covering")
+
+    for name in ("pullback_covering", "fibered_product"):
+        monkeypatch.setattr(classify, name, refuse)
     built = []
     init = FiniteGroupoid.__init__
 
@@ -401,5 +448,7 @@ def test_meet_builds_one_groupoid(lat_s3, monkeypatch):
     for a in lat_s3.nodes:
         for b in lat_s3.nodes:
             built.clear()
-            meet_covering(a, b)
+            node = meet_covering(a, b)
             assert len(built) == 1
+            assert built[0].n_objects == node.covering.total.n_objects
+            assert built[0].n_arrows == node.covering.total.n_arrows

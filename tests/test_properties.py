@@ -8,8 +8,10 @@ corruptions, and ``functoriality_violations`` with
 ``reference_functoriality_violations`` on identity morphisms with moved
 arrow images.  On coset covers of connected codiscrete(k) × G with k ≤ 2
 and |G| ≤ 6, the search of ``all_morphisms`` over f is compared with
-``reference_morphisms_over``.  hypothesis is imported directly: without
-it this module fails to collect instead of being skipped.
+``reference_morphisms_over``, and on their lattices ``meet_covering``
+with ``reference_meet_covering`` on every ordered pair.  hypothesis is
+imported directly: without it this module fails to collect instead of
+being skipped.
 """
 
 import random
@@ -17,9 +19,11 @@ import random
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from gpdcov import (FiniteGroup, GroupoidMorphism, covering_from_subgroup,
-                    disjoint_union, generators, validate, vertex_group)
+from gpdcov import (FiniteGroup, GroupoidMorphism, build_lattice,
+                    covering_from_subgroup, disjoint_union, generators,
+                    meet_covering, validate, vertex_group)
 
+from test_classify import reference_meet_covering
 from test_covering import reference_functoriality_violations
 from test_index import (CORRUPTIONS, closure_under_composition,
                         codiscrete_times_group, reference_validate, shuffled)
@@ -151,3 +155,16 @@ def test_search_over_f_matches_reference_on_coset_covers(gens, k, seed,
             g, x, data.draw(st.sampled_from(small))).morphism
     assert maps_of(morphisms_over(p.morphism, f)) == \
         maps_of(reference_morphisms_over(p.morphism, f))
+
+
+@settings(SETTINGS, max_examples=80)
+@given(SMALL_GROUP_GENERATORS, st.integers(1, 2), st.integers(0, 2 ** 16),
+       st.data())
+def test_meet_matches_reference_on_generated_lattices(gens, k, seed, data):
+    """The meet grown from the marked pair names the same node as the
+    component of the full fibered product, for every ordered pair."""
+    g = shuffled(codiscrete_times_group(k, permutation_group(gens)), seed)
+    lat = build_lattice(g, data.draw(st.sampled_from(g.objects)))
+    for a in lat.nodes:
+        for b in lat.nodes:
+            assert meet_covering(a, b) is reference_meet_covering(a, b)
