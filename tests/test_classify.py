@@ -1,5 +1,7 @@
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx
 import pytest
@@ -10,10 +12,14 @@ from gpdcov import (FiniteGroupoid, GroupoidMorphism, TheoremViolation,
                     fibered_product, is_connected, meet_covering,
                     pullback_covering, pushout_covering, trivial_groupoid,
                     universal_cover, verified_covering, vertex_group)
-from gpdcov.classify import (PushoutResult, _induced_on_quotient,
-                             _marked_component)
+from gpdcov.classify import (GaloisLattice, PushoutResult, _check_join,
+                             _induced_on_quotient, _marked_component,
+                             _same_image_pairs)
+from gpdcov.cli import main
 from gpdcov.construct import GroupAction, orbit_groupoid
+from gpdcov.covering import factor_through
 from gpdcov.documents import load_groupoid
+from gpdcov.groupoid import partition
 from gpdcov.groups import FiniteGroup
 from gpdcov.transform import covering_transformations
 
@@ -296,6 +302,210 @@ def test_pushout_rejects_a_non_free_joint_action(c4_univ):
         (tuple(u.arrows), arr_map)))
     with pytest.raises(ValueError, match="act freely together"):
         pushout_covering(c4_univ, orb.covering)
+
+
+# -- the join clause by joined orbit partitions --------------------------------
+
+JOIN_LAW = "clause: join law"
+
+
+def reference_join_clause(a, b, k):
+    """The join clause as it was: rebuild the pushout quotient of a's and
+    b's orbit morphisms and compare it with node k's quotient."""
+    push = pushout_covering(a.orbit.covering, b.orbit.covering)
+    return push.quotient == k.orbit.quotient
+
+
+def join_clause_holds(a, b, k):
+    try:
+        _check_join(a.orbit, b.orbit, k.orbit)
+    except TheoremViolation as exc:
+        assert JOIN_LAW in str(exc)
+        return False
+    return True
+
+
+def assert_join_clauses_agree(lat):
+    """On every ordered pair, with every node of the lattice as candidate
+    join node, both clauses give one verdict, true for the join node
+    alone."""
+    for i, a in enumerate(lat.nodes):
+        for j, b in enumerate(lat.nodes):
+            for k, node in enumerate(lat.nodes):
+                holds = join_clause_holds(a, b, node)
+                assert holds == (k == lat.join(i, j))
+                assert holds == reference_join_clause(a, b, node)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_join_clause_matches_pushout_reference(name):
+    assert_join_clauses_agree(lattice_of(name))
+
+
+def union_components(n, *label_maps):
+    """networkx's connected components of the graph on 0..n-1 with an edge
+    between two elements that one of the label maps sends to one label."""
+    graph = networkx.Graph()
+    graph.add_nodes_from(range(n))
+    for labels in label_maps:
+        first = {}
+        graph.add_edges_from((x, first.setdefault(v, x))
+                             for x, v in enumerate(labels))
+    return {frozenset(c) for c in networkx.connected_components(graph)}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_join_node_orbits_are_networkx_components(name):
+    lat = lattice_of(name)
+    u = lat.universal.total
+    for i, a in enumerate(lat.nodes):
+        for j, b in enumerate(lat.nodes):
+            join = lat.nodes[lat.join(i, j)].orbit
+            pa, pb = a.orbit.projection, b.orbit.projection
+            assert union_components(u.n_objects, pa.obj_map, pb.obj_map) \
+                == set(map(frozenset, join.obj_orbits))
+            assert union_components(u.n_arrows, pa.arr_map, pb.arr_map) \
+                == set(map(frozenset, join.arr_orbits))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_pushout_legs_are_the_order_reversal_maps(name):
+    """The legs of the pushout are the maps that the order-reversal clause
+    builds and covering-checks on (i, join) and (j, join), which is why the
+    join clause need not rebuild them."""
+    lat = lattice_of(name)
+    for i, a in enumerate(lat.nodes):
+        for j, b in enumerate(lat.nodes):
+            join = lat.nodes[lat.join(i, j)].orbit
+            push = pushout_covering(a.orbit.covering, b.orbit.covering)
+            assert_same_maps(push.leg_first, factor_through(
+                a.orbit.projection, join.projection))
+            assert_same_maps(push.leg_second, factor_through(
+                b.orbit.projection, join.projection))
+
+
+def test_join_clause_compares_arrow_blocks(lat_s3):
+    """A join node with the same object blocks and other arrow blocks is
+    rejected: two arrows of different blocks trade labels."""
+    top = lat_s3.nodes[-1]
+    proj = top.orbit.projection
+    arr_map = list(proj.arr_map)
+    x, y = top.orbit.arr_orbits[0][1], top.orbit.arr_orbits[1][1]
+    arr_map[x], arr_map[y] = arr_map[y], arr_map[x]
+    fake = replace(top.orbit, projection=GroupoidMorphism(
+        proj.source, proj.target, proj.obj_map, arr_map))
+    _check_join(top.orbit, top.orbit, top.orbit)
+    with pytest.raises(TheoremViolation, match=JOIN_LAW):
+        _check_join(top.orbit, top.orbit, fake)
+
+
+def test_join_clause_rejects_a_non_free_joint_action(lat_c4):
+    """The C4 rotations and the swap (0 1)(2 3) of the universal total, as
+    in test_pushout_rejects_a_non_free_joint_action.  A join node whose
+    orbits are exactly their joined partitions passes the partition
+    comparison, and the free-action test alone rejects it."""
+    u = lat_c4.universal.total
+    swap = (1, 0, 3, 2)
+    arr_map = tuple(u.hom(swap[u.dom[a]], swap[u.cod[a]])[0]
+                    for a in u.arrows)
+    swapped = orbit_groupoid(GroupAction(
+        FiniteGroup.cyclic(2), u, (tuple(u.objects), swap),
+        (tuple(u.arrows), arr_map)))
+    rotations = lat_c4.nodes[-1].orbit
+    pr, ps = rotations.projection, swapped.projection
+    objs = partition(u.n_objects, _same_image_pairs(pr.obj_map, ps.obj_map))
+    arrs = partition(u.n_arrows, _same_image_pairs(pr.arr_map, ps.arr_map))
+    joined = SimpleNamespace(
+        projection=SimpleNamespace(obj_map=objs.index, arr_map=arrs.index),
+        obj_orbits=objs.blocks, arr_orbits=arrs.blocks)
+    with pytest.raises(TheoremViolation, match=JOIN_LAW):
+        _check_join(rotations, swapped, joined)
+
+
+def corrupt_top_arrow_blocks(monkeypatch):
+    """Node orbits built as usual, except that the top node's first two
+    arrow blocks are merged; only the join clause reads them."""
+    import gpdcov.classify as classify
+    build = classify.orbit_groupoid
+
+    def corrupted(action, *args):
+        orb = build(action, *args)
+        # over a one-object base only the top node acts transitively
+        if action.group.order != action.space.n_objects:
+            return orb
+        first, second, *rest = orb.arr_orbits
+        return replace(orb, arr_orbits=(first + second, *rest))
+
+    monkeypatch.setattr(classify, "orbit_groupoid", corrupted)
+
+
+def corrupt_join_table(monkeypatch):
+    """The lattice names the meet where the join belongs."""
+    monkeypatch.setattr(GaloisLattice, "join", GaloisLattice.meet)
+
+
+JOIN_CORRUPTIONS = (corrupt_top_arrow_blocks, corrupt_join_table)
+
+
+@pytest.mark.parametrize("corrupt", JOIN_CORRUPTIONS)
+def test_build_lattice_rejects_a_corrupted_join_node(s3, monkeypatch,
+                                                     corrupt):
+    corrupt(monkeypatch)
+    with pytest.raises(TheoremViolation, match=JOIN_LAW):
+        build_lattice(s3, 0)
+
+
+@pytest.mark.parametrize("corrupt", JOIN_CORRUPTIONS)
+def test_cli_exits_3_on_a_corrupted_join_node(capsys, monkeypatch, corrupt):
+    corrupt(monkeypatch)
+    assert main(["lattice", str(FIXTURES / "s3.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert JOIN_LAW in captured.err
+
+
+def test_build_lattice_builds_no_pushout(s3, monkeypatch):
+    """The join clause rebuilds nothing: no pushout, and one quotient per
+    node, the node's own."""
+    import gpdcov.classify as classify
+    import gpdcov.construct as construct
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by build_lattice")
+
+    monkeypatch.setattr(classify, "pushout_covering", refuse)
+    calls = []
+    build = construct.quotient_covering
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (classify, construct):
+        monkeypatch.setattr(module, "quotient_covering", counting)
+    lat = build_lattice(s3, 0)
+    assert len(calls) == len(lat.nodes) == 6
+
+
+def test_meet_and_join_tables_are_closed_once(lat_s3, monkeypatch):
+    """meet and join read tables built with the lattice: after that no
+    subgroup is closed, and the tables name the nodes of the intersection
+    and of the generated subgroup."""
+    subs = [n.subgroup for n in lat_s3.nodes]
+    want_meet = [[lat_s3.node_for_subgroup(a.intersection(b)) for b in subs]
+                 for a in subs]
+    want_join = [[lat_s3.node_for_subgroup(a.join(b)) for b in subs]
+                 for a in subs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("subgroup closed after the lattice was built")
+
+    monkeypatch.setattr(FiniteGroup, "closure", refuse)
+    n = len(subs)
+    for i in range(n):
+        for j in range(n):
+            assert lat_s3.nodes[lat_s3.meet(i, j)] is want_meet[i][j]
+            assert lat_s3.nodes[lat_s3.join(i, j)] is want_join[i][j]
 
 
 # -- the meet by component copy and unpointed equivalence, verbatim -----------

@@ -9,7 +9,8 @@ corruptions, and ``functoriality_violations`` with
 arrow images.  On coset covers of connected codiscrete(k) × G with k ≤ 2
 and |G| ≤ 6, the search of ``all_morphisms`` over f is compared with
 ``reference_morphisms_over``, and on their lattices ``meet_covering``
-with ``reference_meet_covering`` on every ordered pair.  hypothesis is
+with ``reference_meet_covering`` and the join clause with
+``reference_join_clause`` on every ordered pair.  hypothesis is
 imported directly: without it this module fails to collect instead of
 being skipped.
 """
@@ -23,7 +24,7 @@ from gpdcov import (FiniteGroup, GroupoidMorphism, build_lattice,
                     covering_from_subgroup, disjoint_union, generators,
                     meet_covering, validate, vertex_group)
 
-from test_classify import reference_meet_covering
+from test_classify import assert_join_clauses_agree, reference_meet_covering
 from test_covering import reference_functoriality_violations
 from test_index import (CORRUPTIONS, closure_under_composition,
                         codiscrete_times_group, reference_validate, shuffled)
@@ -168,3 +169,15 @@ def test_meet_matches_reference_on_generated_lattices(gens, k, seed, data):
     for a in lat.nodes:
         for b in lat.nodes:
             assert meet_covering(a, b) is reference_meet_covering(a, b)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(SMALL_GROUP_GENERATORS, st.integers(1, 2), st.integers(0, 2 ** 16),
+       st.data())
+def test_join_matches_reference_on_generated_lattices(gens, k, seed, data):
+    """The join clause on joined orbit partitions and the pushout
+    reference give one verdict on every ordered pair with every node as
+    candidate join node, and accept the join node alone."""
+    g = shuffled(codiscrete_times_group(k, permutation_group(gens)), seed)
+    assert_join_clauses_agree(
+        build_lattice(g, data.draw(st.sampled_from(g.objects))))
