@@ -27,12 +27,13 @@ partitions of total(u), with no group of transformations in between.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .covering import (Covering, GroupoidMorphism, compose_morphisms,
-                       covering_of_lifts, factor_through, fold,
-                       lift_morphism, verified_covering)
+from .covering import (Covering, GroupoidMorphism, _lift_walk,
+                       compose_morphisms, covering_of_lifts, factor_through,
+                       fold, lift_morphism, verified_covering)
 from .construct import (OrbitGroupoid, orbit_groupoid, quotient_covering,
                         universal_cover)
 from .groupoid import FiniteGroupoid, is_connected, partition, vertex_group
@@ -181,7 +182,13 @@ class CoveringClass:
         self.orbit = orbit
         self.fold = fold_count
         self.regular = regular
-        self.lattice = None  # filled by GaloisLattice
+        self._lattice = None  # a weak reference, set by GaloisLattice
+
+    @property
+    def lattice(self):
+        """The lattice holding this node, or None once it is freed.  The
+        reference is weak, so a lattice and its nodes form no cycle."""
+        return self._lattice and self._lattice()
 
     def __repr__(self):
         return (f"CoveringClass(order={self.subgroup.order}, "
@@ -202,7 +209,7 @@ class GaloisLattice:
         self._by_subgroup = {n.subgroup.elements: i
                              for i, n in enumerate(self.nodes)}
         for n in self.nodes:
-            n.lattice = self
+            n._lattice = weakref.ref(self)
         at, subs = self._by_subgroup, [n.subgroup for n in self.nodes]
         self._meet, self._join = (  # the subgroup side, once per pair
             tuple(tuple(at[op(s, t).elements] for t in subs) for s in subs)
@@ -278,32 +285,22 @@ def classify_covering(lattice: GaloisLattice, q: Covering) -> CoveringClass:
 def _marked_component(p: Covering, q: Covering, start):
     """The component of the fibered product of p and q holding ``start``
     = (object of total(q), object of total(p)), marked there, with its
-    object and arrow pairs.  It is grown breadth first: the arrows into
-    (y, x) over c pair the lifts into y and x of each base arrow into c,
-    so their domains close it under whole stars, i.e. the component."""
-    base = p.base
-    pos = {start: 0}
-    obj_pairs = [start]
-    over = [q.morphism.obj_map[start[0]]]
-    arrows, arr_pairs = [], []
-    for c, (y, x) in enumerate(obj_pairs):  # grows while it is walked
-        for g in base._into[over[c]]:
-            u, v = q.lift(g, y), p.lift(g, x)
-            d = (q.total.dom[u], p.total.dom[v])
-            if d not in pos:
-                pos[d] = len(obj_pairs)
-                obj_pairs.append(d)
-                over.append(base.dom[g])
-            arrows.append((g, pos[d], c))
-            arr_pairs.append((u, v))
+    object and arrow pairs.  It is the lift walk of q's projection through
+    p from ``start``: the arrows into (y, x) pair each arrow into y with
+    the lift into x of its image, so the pairs reached are closed under
+    whole stars, i.e. they are the component."""
+    obj_pairs, walk = _lift_walk(p, q.morphism, start)
+    arr_pairs = tuple((u, v) for u, v, _, _ in walk)
+    qt, pt = q.total, p.total
     cov = covering_of_lifts(
-        base, over, arrows,
-        tuple(f"({q.total.obj_labels[y]},{p.total.obj_labels[x]})"
+        p.base, tuple(q.morphism.obj_map[y] for y, _ in obj_pairs),
+        [(q.morphism.arr_map[u], d, c) for u, _, d, c in walk],
+        tuple(f"({qt.obj_labels[y]},{pt.obj_labels[x]})"
               for y, x in obj_pairs),
-        tuple(f"({q.total.arr_labels[u]},{p.total.arr_labels[v]})"
+        tuple(f"({qt.arr_labels[u]},{pt.arr_labels[v]})"
               for u, v in arr_pairs),
         "pullback component", 0)
-    return cov, tuple(obj_pairs), tuple(arr_pairs)
+    return cov, tuple(obj_pairs), arr_pairs
 
 
 def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:

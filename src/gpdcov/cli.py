@@ -18,6 +18,7 @@ indent, LF line endings, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import documents as docs
@@ -435,7 +436,9 @@ class ExitText:
 
 # -- argument parsing ---------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gpdcov",
         description="Finite groupoids, covering projections and their "
@@ -529,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)
     except MathematicalNegative as neg:

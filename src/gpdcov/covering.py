@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 from .errors import TheoremViolation
 from .groupoid import (FiniteGroupoid, VertexGroup, components, generators,
-                       is_connected, subgroupoid, vertex_group)
+                       is_connected, partition, subgroupoid, vertex_group)
 from .groups import Subgroup, all_homomorphisms, generating_set
 
 
@@ -452,37 +452,43 @@ def pushforward_vertex(p: Covering, x: int) -> Subgroup:
     return Subgroup(vg, (vg.index_by_arrow[a] for a in images))
 
 
-def _propagate_lift(p: Covering, f: GroupoidMorphism, block, root: int,
-                    seed: int):
-    """Spread the unique lift of f (restricted to the connected object set
-    ``block``) along stars from f(root) = p(seed).  Returns (obj_img,
-    arr_img) dicts; inconsistency means the subgroup criterion was not
-    checked by the caller and is reported as a theorem violation."""
-    src = f.source
-    total = p.total
-    obj_img = {root: seed}
-    arr_img = {}
-    queue = [root]
-    while queue:
-        y = queue.pop()
-        ty = obj_img[y]
-        for a in src._into[y]:
-            lifted = p.lift(f.arr_map[a], ty)
-            arr_img[a] = lifted
-            x = src.dom[a]
-            tx = total.dom[lifted]
-            if x in obj_img:
-                if obj_img[x] != tx:
-                    raise TheoremViolation(
-                        f"lift propagation inconsistent at object {x}")
-            else:
-                obj_img[x] = tx
-                queue.append(x)
-    missing = [x for x in block if x not in obj_img]
-    if missing:
-        raise ValueError(
-            f"object set is not connected: {missing[0]} unreachable")
-    return obj_img, arr_img
+def _lift_walk(p: Covering, f: GroupoidMorphism, start):
+    """Unique lifting of f through p from ``start`` = (s, t), f(s) = p(t),
+    breadth first: each arrow a into a reached s lifts to the arrow b into
+    t over f(a), read from ``p.witnesses[t]``, and reaches (dom a, dom b).
+    Returns the reached pairs, ``start`` first, and one (a, b, i, j) per
+    arrow, where i and j index the pairs of dom a and of a's codomain."""
+    into, fdom, pdom = f.source._into, f.source.dom, p.total.dom
+    f_arr, wit = f.arr_map, p.witnesses
+    pos = {start: 0}
+    pairs, arrows = [start], []
+    for j, (s, t) in enumerate(pairs):  # grows while it is walked
+        lift = wit[t]
+        for a in into[s]:
+            b = lift[f_arr[a]]
+            d = (fdom[a], pdom[b])
+            i = pos.setdefault(d, len(pairs))
+            if i == len(pairs):
+                pairs.append(d)
+            arrows.append((a, b, i, j))
+    return pairs, arrows
+
+
+def _seeded_lift(p: Covering, f: GroupoidMorphism, root: int, seed: int):
+    """The lift of f through p on the component of ``root``, with root ↦
+    seed, as (obj_img, arr_img) dicts; None unless the loop images of f at
+    root lie among those of p at seed (the lifting criterion).  Requires
+    f(root) = p(seed).  A source object lifted to two objects means the
+    witnesses are inconsistent and raises :class:`TheoremViolation`."""
+    if not {f.arr_map[a] for a in f.source.loops(root)} <= \
+            {p.morphism.arr_map[a] for a in p.total.loops(seed)}:
+        return None
+    pairs, arrows = _lift_walk(p, f, (root, seed))
+    obj_img = dict(pairs)
+    if len(obj_img) != len(pairs):
+        x = next(s for s, t in pairs if obj_img[s] != t)
+        raise TheoremViolation(f"lift propagation inconsistent at object {x}")
+    return obj_img, {a: b for a, b, _, _ in arrows}
 
 
 def lift_morphism(p: Covering, f: GroupoidMorphism, f0: int,
@@ -505,16 +511,10 @@ def lift_morphism(p: Covering, f: GroupoidMorphism, f0: int,
     if f.obj_map[f0] != p.morphism.obj_map[seed]:
         raise ValueError("seed does not lie over the image of the source "
                          "object")
-    loop_images = {f.arr_map[a] for a in f.source.loops(f0)}
-    seed_images = {p.morphism.arr_map[a] for a in p.total.loops(seed)}
-    if not loop_images <= seed_images:
+    piece = _seeded_lift(p, f, f0, seed)
+    if piece is None:
         return None
-    obj_img, arr_img = _propagate_lift(
-        p, f, tuple(f.source.objects), f0, seed)
-    lifted = GroupoidMorphism(
-        f.source, p.total,
-        tuple(obj_img[x] for x in f.source.objects),
-        tuple(arr_img[a] for a in f.source.arrows))
+    lifted = glue_morphism(f.source, p.total, [piece])
     if not lifted.is_functorial():
         raise TheoremViolation("propagated lift is not functorial")
     if compose_morphisms(p.morphism, lifted) != f:
@@ -540,21 +540,17 @@ class MonodromyAction:
         self._table = {
             (x, k): total.dom[covering.lift(self.group.arrows[k], x)]
             for x in self.carrier for k in range(self.group.order)}
+        self._orbits = partition(  # blocks off the carrier are singletons
+            total.n_objects, ((x, y) for (x, _), y in self._table.items()))
 
     def act(self, x: int, k: int) -> int:
         return self._table[(x, k)]
 
     def orbit(self, x: int) -> tuple:
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for k in range(self.group.order):
-                z = self.act(y, k)
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
-        return tuple(sorted(seen))
+        """The orbit of the fiber object x, ascending."""
+        if self.covering.morphism.obj_map[x] != self.base_object:
+            raise ValueError(f"object {x} is not in the fiber")
+        return self._orbits.blocks[self._orbits.index[x]]
 
     def stabilizer(self, x: int) -> Subgroup:
         return Subgroup(self.group,
@@ -618,20 +614,12 @@ def covering_morphisms(p: Covering, q: Covering, cap: int = 100000):
     """
     if p.base != q.base:
         raise ValueError("coverings must share a base")
-    parts = components(p.total)
     per_block = []
-    for block in parts.blocks:
+    for block in components(p.total).blocks:
         root = block[0]
-        base_pt = p.morphism.obj_map[root]
-        loop_imgs = {p.morphism.arr_map[a] for a in p.total.loops(root)}
-        pieces = []
-        for cand in q.fibers[base_pt]:
-            cand_imgs = {q.morphism.arr_map[a]
-                         for a in q.total.loops(cand)}
-            if loop_imgs <= cand_imgs:
-                pieces.append(
-                    _propagate_lift(q, p.morphism, block, root, cand))
-        per_block.append(pieces)
+        pieces = (_seeded_lift(q, p.morphism, root, cand)
+                  for cand in q.fibers[p.morphism.obj_map[root]])
+        per_block.append([piece for piece in pieces if piece is not None])
     count = 1
     for pieces in per_block:
         count *= len(pieces)
@@ -825,9 +813,10 @@ def _iso_over(f: GroupoidMorphism, q: Covering):
 
     Each component of f.source is lifted at most once per component of
     total(q) of its size, seeded at that component's first fiber object
-    whose loop images equal the component's own; the first assignment of
-    distinct target components, in ascending order, is glued.  A glued
-    lift that is not functorial or does not cover f raises
+    passing the lifting criterion (for the covering projections f passed
+    here, equal sizes make it equality of loop images); the first
+    assignment of distinct target components, in ascending order, is
+    glued.  A glued lift that is not functorial or does not cover f raises
     :class:`TheoremViolation`; a non-bijective one gives None.
     """
     src, total = f.source, q.total
@@ -835,15 +824,14 @@ def _iso_over(f: GroupoidMorphism, q: Covering):
     options = []
     for block in components(src).blocks:
         root = block[0]
-        loop_imgs = {f.arr_map[a] for a in src.loops(root)}
         pieces = {}
         for cand in q.fibers[f.obj_map[root]]:
             j = q_parts.index[cand]
             if j in pieces or len(q_parts.blocks[j]) != len(block):
                 continue
-            if {q.morphism.arr_map[a] for a in total.loops(cand)} \
-                    == loop_imgs:
-                pieces[j] = _propagate_lift(q, f, block, root, cand)
+            piece = _seeded_lift(q, f, root, cand)
+            if piece is not None:
+                pieces[j] = piece
         options.append(sorted(pieces.items()))
 
     def backtrack(i, used, acc):

@@ -129,31 +129,23 @@ def _is_composite(t: GroupoidMorphism, t1: GroupoidMorphism,
 def covering_transformations(p: Covering) -> CovGroup:
     """Enumerate Cov(total/base) for a connected covering.
 
-    For each fiber object x over the reference base object whose
-    pushforward loop group equals the marked one, unique lifting of p
-    through itself with seed x gives the only possible transformation
-    sending the marked object to x; those that are isomorphisms are kept
-    (equal pushforward makes the reverse lift exist, so all of them are).
+    For each fiber object x over the reference base object, unique
+    lifting of p through itself with seed x gives the only possible
+    transformation sending the marked object to x.  It exists iff the
+    pushforward loop group at x contains the marked one; both are
+    conjugate, so then they are equal, the reverse lift exists too, and
+    the lift is an isomorphism (checked).
     """
     if not (is_connected(p.total) and is_connected(p.base)):
         raise ValueError("covering transformations require a connected "
                          "covering")
     marked = p.mark
     base_obj = p.morphism.obj_map[marked]
-    marked_push = {p.morphism.arr_map[a] for a in p.total.loops(marked)}
-    found = []
-    for cand in p.fibers[base_obj]:
-        push = {p.morphism.arr_map[a] for a in p.total.loops(cand)}
-        if push != marked_push:
-            continue
-        h = lift_morphism(p, p.morphism, marked, cand)
-        if h is None:
-            raise TheoremViolation(
-                "lift must exist when pushforward groups agree")
-        if not h.is_bijective():
-            raise TheoremViolation(
-                "seeded transformation is not an isomorphism")
-        found.append(h)
+    lifts = (lift_morphism(p, p.morphism, marked, cand)
+             for cand in p.fibers[base_obj])
+    found = [h for h in lifts if h is not None]
+    if not all(h.is_bijective() for h in found):
+        raise TheoremViolation("seeded transformation is not an isomorphism")
     return CovGroup(p, found, base_obj, marked)
 
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -133,6 +135,26 @@ def test_meet_examples(lat_s3):
         for b in order2:
             if a is not b:
                 assert meet_covering(a, b) is bottom
+
+
+def test_lattice_dies_on_del_without_the_cycle_collector(c4):
+    """Nodes hold their lattice weakly, so a lattice and its nodes form no
+    cycle: with gc disabled it is freed on del.  Its nodes then have no
+    lattice, which the meet refuses; the attribute stays read-only."""
+    gc.disable()
+    try:
+        lat = build_lattice(c4, 0)
+        node, ref = lat.nodes[0], weakref.ref(lat)
+        assert node.lattice is lat
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert node.lattice is None
+    with pytest.raises(ValueError, match="one lattice"):
+        meet_covering(node, node)
+    with pytest.raises(AttributeError):
+        node.lattice = None
 
 
 def test_join_via_pushout(lat_s3, s3):

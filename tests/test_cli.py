@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gpdcov import cli
 from gpdcov.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -340,3 +341,14 @@ def test_action_documents_accept_integer_entries(capsys, tmp_path):
     assert code == 0
     assert out == (GOLDEN / "orbit-cov-action-universal-c4.out").read_text(
         encoding="utf-8")
+
+
+def test_main_builds_one_parser(capsys):
+    """Two calls of main build the parser once, and print the bytes that a
+    call with a freshly built parser prints."""
+    argv = ("lattice", FIXTURES / "s3.json")
+    cli.build_parser.cache_clear()
+    fresh = run(capsys, *argv)
+    cli.build_parser.cache_clear()
+    assert run(capsys, *argv) == run(capsys, *argv) == fresh
+    assert fresh[0] == 0 and cli.build_parser.cache_info().misses == 1

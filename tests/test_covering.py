@@ -144,7 +144,8 @@ def test_lift_morphism_requires_connected_source(c4, cov02):
     from gpdcov import disjoint_union
     two = disjoint_union(c4, c4)
     m = GroupoidMorphism(two, c4, (0, 0), tuple(range(4)) + tuple(range(4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lifting requires a connected "
+                                         "source$"):
         lift_morphism(cov02, m, 0, 0)
 
 
@@ -285,6 +286,26 @@ def test_find_covering_isomorphism_disconnected(c4):
     iso = find_covering_isomorphism(om1, om2)
     assert iso is not None
     assert compose_morphisms(om2.morphism, iso) == om1.morphism
+
+
+def _with_swapped_witness(cov, at):
+    """cov rebuilt directly, with the lifts of two base arrows into ``at``
+    swapped: no longer a consistent lifting witness."""
+    wits = [dict(w) for w in cov.witnesses]
+    g, h = list(wits[at])[:2]
+    wits[at][g], wits[at][h] = wits[at][h], wits[at][g]
+    return Covering(cov.morphism, wits, cov.marked_object)
+
+
+def test_inconsistent_witness_fails_the_lift_walk(c4_univ):
+    """A swapped witness entry lifts some object to two objects; the walk
+    shared by lift_morphism and covering_transformations reports it."""
+    broken = _with_swapped_witness(c4_univ, c4_univ.mark)
+    inconsistent = "^lift propagation inconsistent at object"
+    with pytest.raises(TheoremViolation, match=inconsistent):
+        lift_morphism(broken, broken.morphism, broken.mark, broken.mark)
+    with pytest.raises(TheoremViolation, match=inconsistent):
+        covering_transformations(broken)
 
 
 def test_pushforward_injectivity_guard(c4, t1):

@@ -13,6 +13,7 @@ filtering the full enumeration, ``reference_morphisms_over``.
 
 import itertools
 
+import networkx
 import pytest
 
 from gpdcov import (Covering, FiniteGroup, FiniteGroupoid, GroupoidMorphism,
@@ -20,12 +21,12 @@ from gpdcov import (Covering, FiniteGroup, FiniteGroupoid, GroupoidMorphism,
                     codiscrete_groupoid, covering_from_subgroup,
                     covering_morphisms, covering_to_presheaf,
                     disjoint_union, exponential, fiber, fiber_transport,
-                    fold, group_groupoid, is_connected, omega,
+                    fold, group_groupoid, is_connected, monodromy, omega,
                     pullback_covering, require_covering, trivial_groupoid,
                     universal_cover, vertex_group)
 from gpdcov import covering as covering_module
 from gpdcov.classify import PullbackCovering
-from gpdcov.covering import (_iso_over, _propagate_lift, components,
+from gpdcov.covering import (_iso_over, _seeded_lift, components,
                              compose_morphisms, covering_of_lifts,
                              factor_through, find_covering_isomorphism,
                              glue_morphism, groupoid_isomorphisms,
@@ -332,7 +333,7 @@ def reference_find_covering_isomorphism(p, q):
                              for a in q.total.loops(cand)}
                 if loop_imgs != cand_imgs:
                     continue
-                piece = _propagate_lift(q, p.morphism, block, root, cand)
+                piece = _seeded_lift(q, p.morphism, root, cand)
                 found.append((j, piece))
         return found
 
@@ -503,6 +504,30 @@ def test_loop_inclusion_pullback_matches_reference():
             p, incl)
         assert_same_covering(got.covering, want.covering)
         assert got.arr_pairs == want.arr_pairs
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_monodromy_orbits_are_networkx_components(name):
+    """The orbit of x under the monodromy action is networkx's connected
+    component of x in the graph on the fiber with the edges x — x·k.  An
+    object off the fiber has no orbit."""
+    for cov in small_covers(name):
+        for b in cov.base.objects:
+            if not cov.fibers[b]:
+                continue
+            act = monodromy(cov, b)
+            graph = networkx.Graph()
+            graph.add_nodes_from(act.carrier)
+            graph.add_edges_from((x, act.act(x, k)) for x in act.carrier
+                                 for k in range(act.group.order))
+            for x in act.carrier:
+                assert act.orbit(x) == tuple(sorted(
+                    networkx.node_connected_component(graph, x)))
+            assert act.is_transitive() == networkx.is_connected(graph)
+            off = [x for x in cov.total.objects if x not in act.carrier]
+            if off:
+                with pytest.raises(ValueError, match="not in the fiber"):
+                    act.orbit(off[0])
 
 
 # -- the shared pieces --------------------------------------------------------
