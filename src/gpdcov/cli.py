@@ -536,8 +536,7 @@ def main(argv=None) -> int:
     try:
         result = args.fn(args)
     except MathematicalNegative as neg:
-        _write(args, docs.dumps(neg.payload))
-        return 1
+        result = ExitText(1, docs.dumps(neg.payload))
     except docs.DocumentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -547,24 +546,19 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         sys.stderr.write(f"verification failure (library bug): {exc}\n")
         return 3
-    if isinstance(result, ExitText):
-        if result.text:
-            _write(args, result.text)
-        return result.code
-    if isinstance(result, str):
-        _write(args, result)
-    else:
-        _write(args, docs.dumps(result))
-    return 0
-
-
-def _write(args, text):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not isinstance(result, ExitText):
+        result = ExitText(0, result if isinstance(result, str)
+                          else docs.dumps(result))
+    if result.text and args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(result.text)
+        except OSError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+    elif result.text:
+        sys.stdout.write(result.text)
+    return result.code
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
+from json.encoder import encode_basestring as _quote
 
 from .construct import GroupAction
 from .covering import (Covering, CoveringFailure, GroupoidMorphism,
@@ -202,17 +204,36 @@ def _derive_inverses(dom, cod, identity, compose, names, path):
     return inverse
 
 
-def emit_groupoid(g: FiniteGroupoid) -> dict:
-    objects = _unique_labels(g.obj_labels)
-    names = _unique_labels(g.arr_labels)
+def emit_groupoid(g: FiniteGroupoid, labels=None) -> dict:
+    objects, names = labels or _labels(g)
+    compose, into, dom = g.compose, g._into, g.dom
+    # Rows in (f, h) order without a sort: f ascending, then each h into
+    # dom f ascending; distinct pairs, all of the entries if as many.
+    try:
+        rows = [[names[f], names[h], names[compose[f, h]]]
+                for f in g.arrows for h in into[dom[f]]]
+    except KeyError:
+        rows = None
+    if rows is None or len(rows) != len(compose):
+        rows = [[names[f], names[h], names[v]]
+                for (f, h), v in sorted(compose.items())]
     return {
         "objects": list(objects),
         "arrows": [{"name": names[a], "dom": objects[g.dom[a]],
                     "cod": objects[g.cod[a]]} for a in g.arrows],
-        "compose": [[names[f], names[h], names[v]]
-                    for (f, h), v in sorted(g.compose.items())],
+        "compose": rows,
         "inverse": {names[a]: names[g.inverse[a]] for a in g.arrows},
     }
+
+
+def _labels(g: FiniteGroupoid):
+    return _unique_labels(g.obj_labels), _unique_labels(g.arr_labels)
+
+
+def _index(g: FiniteGroupoid):
+    """The ids of g's objects and of its arrows, by unique label."""
+    return tuple({lbl: i for i, lbl in enumerate(labels)}
+                 for labels in _labels(g))
 
 
 def _unique_labels(labels):
@@ -251,14 +272,8 @@ def parse_morphism(doc, base_dir: str = ".",
     target = _resolve(doc, "target", path, base_dir)
     obj_doc = _need(doc, "objects", path, dict)
     arr_doc = _need(doc, "arrows", path, dict)
-    src_obj = {lbl: i for i, lbl in
-               enumerate(_unique_labels(source.obj_labels))}
-    dst_obj = {lbl: i for i, lbl in
-               enumerate(_unique_labels(target.obj_labels))}
-    src_arr = {lbl: i for i, lbl in
-               enumerate(_unique_labels(source.arr_labels))}
-    dst_arr = {lbl: i for i, lbl in
-               enumerate(_unique_labels(target.arr_labels))}
+    src_obj, src_arr = _index(source)
+    dst_obj, dst_arr = _index(target)
     obj_map = [None] * source.n_objects
     for name, img in obj_doc.items():
         if str(name) not in src_obj:
@@ -293,37 +308,31 @@ def parse_morphism(doc, base_dir: str = ".",
     return m
 
 
-def emit_morphism(m: GroupoidMorphism) -> dict:
-    src_obj = _unique_labels(m.source.obj_labels)
-    dst_obj = _unique_labels(m.target.obj_labels)
-    src_arr = _unique_labels(m.source.arr_labels)
-    dst_arr = _unique_labels(m.target.arr_labels)
-    return {
-        "source": emit_groupoid(m.source),
-        "target": emit_groupoid(m.target),
-        "objects": {src_obj[x]: dst_obj[m.obj_map[x]]
+def emit_morphism(m: GroupoidMorphism, marked=None) -> dict:
+    """The document of m, marked at source object ``marked`` if given."""
+    src, dst = _labels(m.source), _labels(m.target)
+    doc = {
+        "source": emit_groupoid(m.source, src),
+        "target": emit_groupoid(m.target, dst),
+        "objects": {src[0][x]: dst[0][m.obj_map[x]]
                     for x in m.source.objects},
-        "arrows": {src_arr[a]: dst_arr[m.arr_map[a]]
+        "arrows": {src[1][a]: dst[1][m.arr_map[a]]
                    for a in m.source.arrows},
     }
+    if marked is not None:
+        doc["marked_object"] = src[0][marked]
+    return doc
 
 
 def emit_covering(cov: Covering) -> dict:
-    doc = emit_morphism(cov.morphism)
-    if cov.marked_object is not None:
-        doc["marked_object"] = _unique_labels(
-            cov.total.obj_labels)[cov.marked_object]
-    return doc
+    return emit_morphism(cov.morphism, cov.marked_object)
 
 
 def parse_action(doc, base_dir: str = ".", path: str = ""):
     space = _resolve(doc, "space", path, base_dir)
     group = _parse_group(doc, path)
     maps = _need(doc, "maps", path, dict)
-    sp_obj = {lbl: i for i, lbl in
-              enumerate(_unique_labels(space.obj_labels))}
-    sp_arr = {lbl: i for i, lbl in
-              enumerate(_unique_labels(space.arr_labels))}
+    sp_obj, sp_arr = _index(space)
     obj_maps, arr_maps = [], []
     for name in group.names:
         mpath = f"{path}/maps/{name}"
@@ -361,10 +370,7 @@ def parse_presheaf(doc, base_dir: str = ".", path: str = "") -> Presheaf:
     base = _resolve(doc, "base", path, base_dir)
     sets_doc = _need(doc, "sets", path, dict)
     maps_doc = _need(doc, "maps", path, dict)
-    obj_index = {lbl: i for i, lbl in
-                 enumerate(_unique_labels(base.obj_labels))}
-    arr_index = {lbl: i for i, lbl in
-                 enumerate(_unique_labels(base.arr_labels))}
+    obj_index, arr_index = _index(base)
     sets = [()] * base.n_objects
     for name, elems in sets_doc.items():
         if str(name) not in obj_index:
@@ -391,10 +397,9 @@ def parse_presheaf(doc, base_dir: str = ".", path: str = "") -> Presheaf:
 
 
 def emit_presheaf(ps: Presheaf) -> dict:
-    obj = _unique_labels(ps.base.obj_labels)
-    arr = _unique_labels(ps.base.arr_labels)
+    obj, arr = labels = _labels(ps.base)
     return {
-        "base": emit_groupoid(ps.base),
+        "base": emit_groupoid(ps.base, labels),
         "sets": {obj[x]: [str(v) for v in ps.sets[x]]
                  for x in ps.base.objects},
         "maps": {arr[a]: {str(k): str(v) for k, v in ps.maps[a].items()}
@@ -453,6 +458,53 @@ def load_presheaf(fname: str) -> Presheaf:
 
 def dumps(doc) -> str:
     """Canonical serialization: sorted keys, two-space indent, one
-    trailing newline, LF endings."""
-    return json.dumps(doc, sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+    trailing newline, LF endings: ``json.dumps(doc, sort_keys=True,
+    indent=2, ensure_ascii=False) + "\\n"`` exactly, TypeErrors included,
+    in time linear in the output.  A str-to-str dict, and a list of
+    strings, of equal-length rows of strings or of str-valued dicts with
+    one key set, is one ``%`` format over its leaves.  Documents are
+    trees: no cycle check."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(v, nl):
+    """The JSON text of v; ``nl`` is a newline plus v's indent."""
+    if isinstance(v, str):
+        return _quote(v)
+    if not isinstance(v, (list, tuple, dict)):
+        return json.dumps(v)  # a number, bool or None; else TypeError
+    if not v:
+        return "{}" if isinstance(v, dict) else "[]"
+    inner, leaves = nl + "  ", None
+    sep, cells = "," + inner, f",{inner}  ".join
+    if isinstance(v, dict):
+        v = sorted(v.items())
+        ends, leaves, row = "{}", list(chain.from_iterable(v)), "%s: %s"
+    else:
+        ends, kinds = "[]", set(map(type, v))
+        if kinds == {str}:
+            leaves, row = v, "%s"
+        elif kinds <= {list, tuple} and len(set(map(len, v))) == 1:
+            leaves = list(chain.from_iterable(v))
+            row = "[" + inner + "  " + cells(["%s"] * len(v[0])) + inner + "]"
+        elif kinds == {dict} and len(set(map(tuple, v))) == 1 \
+                and set(map(type, v[0])) == {str}:
+            keys = sorted(v[0])
+            leaves = [d[k] for d in v for k in keys]
+            cell = [_quote(k).replace("%", "%%") + ": %s" for k in keys]
+            row = "{" + inner + "  " + cells(cell) + inner + "}"
+    if leaves is not None and set(map(type, leaves)) == {str}:
+        quoted = {s: _quote(s) for s in set(leaves)}  # names repeat
+        body = sep.join([row] * len(v)) % tuple(map(quoted.get, leaves))
+    elif ends == "{}":
+        body = sep.join([_key(k) + ": " + _encode(x, inner) for k, x in v])
+    else:
+        body = sep.join([_encode(x, inner) for x in v])
+    return ends[0] + inner + body + nl + ends[1]
+
+
+def _key(k) -> str:
+    if isinstance(k, (str, int, float)) or k is None:
+        return _quote(k if isinstance(k, str) else json.dumps(k))
+    raise TypeError("keys must be str, int, float, bool or None, not "
+                    f"{type(k).__name__}")

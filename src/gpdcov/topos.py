@@ -218,18 +218,22 @@ def exponential(p: Covering, q: Covering) -> ExponentialCovering:
                                             repeat=len(q_fibers[c])):
             objects.append((c, assignment))
     index = {key: i for i, key in enumerate(objects)}
+    # Per base arrow g: the position over cod g of q's transport along g⁻¹
+    # of each point over dom g, and p's transport along g.
+    p_dom, q_dom, moves = p.total.dom, q.total.dom, []
+    for g in base.arrows:
+        where = {y: i for i, y in enumerate(q_fibers[base.cod[g]])}
+        moves.append((tuple(where[q_dom[q.lift(base.inverse[g], y)]]
+                            for y in q_fibers[base.dom[g]]),
+                      {x: p_dom[p.lift(g, x)]
+                       for x in p_fibers[base.cod[g]]}))
 
     def transported(g: int, cod_obj: int) -> int:
-        """Domain object of the unique arrow over g into cod_obj; a fiber
-        object is transported along g to the domain of its lift."""
-        c, assignment = objects[cod_obj]
-        d = base.dom[g]
-        amap = dict(zip(q_fibers[c], assignment))
-        g_inv = base.inverse[g]
-        new_assignment = tuple(
-            p.total.dom[p.lift(g, amap[q.total.dom[q.lift(g_inv, y)]])]
-            for y in q_fibers[d])
-        return index[(d, new_assignment)]
+        """Domain object of the unique arrow over g into cod_obj."""
+        positions, p_move = moves[g]
+        assignment = objects[cod_obj][1]
+        return index[(base.dom[g], tuple(
+            map(p_move.__getitem__, map(assignment.__getitem__, positions))))]
 
     arrows = _arrows_into(base, objects, transported)
     cov = covering_of_lifts(

@@ -352,3 +352,19 @@ def test_main_builds_one_parser(capsys):
     cli.build_parser.cache_clear()
     assert run(capsys, *argv) == run(capsys, *argv) == fresh
     assert fresh[0] == 0 and cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("universal", FIXTURES / "c4.json"),            # a result (exit 0)
+    ("check-cover", FIXTURES / "collapse_i2.json"),  # a negative (exit 1)
+    ("selftest",),                                  # exit text (exit 0)
+])
+def test_unwritable_out_is_an_input_error(capsys, tmp_path, argv):
+    """An --out that cannot be written exits 2 with one error line, from
+    the result, the mathematical-negative and the exit-text paths alike;
+    nothing goes to stdout."""
+    for out in (tmp_path / "no" / "such" / "x.json", tmp_path):
+        code, stdout, err = run_err(capsys, *argv, "--out", out)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
