@@ -9,20 +9,18 @@ projection from total(u) onto it.
 
 :func:`build_lattice` constructs one node per subgroup and then verifies
 the whole correspondence geometrically: round trips, order reversal,
-meet/join against pullback components and joined orbit partitions,
-fold = index, and regularity = normality.  Any failure raises
-:class:`TheoremViolation` naming the clause, as each is a theorem.
+meet/join against orbit partitions of total(u), fold = index, and
+regularity = normality.  Any failure raises :class:`TheoremViolation`
+naming the clause, as each is a theorem.
 
 Naming note: on the subgroup side, meet = intersection and join =
 generated subgroup.  Geometrically the meet corresponds to the marked
 component of the fibered product over G, and the join to the pushout
-under the universal cover.  The meet is checked by one pointed lift into
-that component, which tells the intersection node from a conjugate one;
-the component is grown from the marked pair by unique lifting, and the
-rest of the product is never built.
-The orbit morphism of Π identifies the Π-orbits, so the pushout of two
-of them identifies what either identifies: it is built by joining their
-partitions of total(u), with no group of transformations in between.
+under the universal cover.  Both laws are checked as identities of orbit
+partitions of total(u).  The orbit morphisms of Π_a and Π_b pair it onto
+the marked component, with the (Π_a ∩ Π_b)-orbits as fibers.  The
+pushout of two orbit morphisms identifies what either identifies, so it
+joins their partitions, with no group of transformations in between.
 """
 
 from __future__ import annotations
@@ -282,51 +280,13 @@ def classify_covering(lattice: GaloisLattice, q: Covering) -> CoveringClass:
     return lattice.node_for_subgroup(sub)
 
 
-def _marked_component(p: Covering, q: Covering, start):
-    """The component of the fibered product of p and q holding ``start``
-    = (object of total(q), object of total(p)), marked there, with its
-    object and arrow pairs.  It is the lift walk of q's projection through
-    p from ``start``: the arrows into (y, x) pair each arrow into y with
-    the lift into x of its image, so the pairs reached are closed under
-    whole stars, i.e. they are the component."""
-    obj_pairs, walk = _lift_walk(p, q.morphism, start)
-    arr_pairs = tuple((u, v) for u, v, _, _ in walk)
-    qt, pt = q.total, p.total
-    cov = covering_of_lifts(
-        p.base, tuple(q.morphism.obj_map[y] for y, _ in obj_pairs),
-        [(q.morphism.arr_map[u], d, c) for u, _, d, c in walk],
-        tuple(f"({qt.obj_labels[y]},{pt.obj_labels[x]})"
-              for y, x in obj_pairs),
-        tuple(f"({qt.arr_labels[u]},{pt.arr_labels[v]})"
-              for u, v in arr_pairs),
-        "pullback component", 0)
-    return cov, tuple(obj_pairs), arr_pairs
-
-
 def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:
-    """The node of the subgroup intersection, verified by one pointed lift
-    of its covering into the marked component of the fibered product,
-    which is grown from the marked pair alone; by unique lifting (Brown,
-    *Topology and Groupoids*, ch. 10) the lift must be a bijection onto
-    that component."""
+    """The node of the subgroup intersection, verified by _check_meet."""
     if a.lattice is None or a.lattice is not b.lattice:
         raise ValueError("classes must belong to one lattice")
     lat = a.lattice
-    marked = lat.universal.mark
-    # pairs carry (second factor, first factor), as in fibered_product
-    comp, _, _ = _marked_component(
-        a.covering, b.covering,
-        (b.orbit.projection.obj_map[marked],
-         a.orbit.projection.obj_map[marked]))
     node = lat.nodes[lat.meet(lat.index_of(a), lat.index_of(b))]
-    expect = node.covering
-    m = lift_morphism(comp, expect.morphism, expect.mark, comp.mark)
-    n, k = expect.total.n_objects, expect.total.n_arrows
-    if (m is None or len(set(m.obj_map)) != n or len(set(m.arr_map)) != k
-            or comp.total.n_objects != n or comp.total.n_arrows != k):
-        raise TheoremViolation(
-            "pullback component is not equivalent to the intersection "
-            "node (lattice meet law)")
+    _check_meet(a, b, node)
     return node
 
 
@@ -335,7 +295,7 @@ def build_lattice(g: FiniteGroupoid, g0: int = 0) -> GaloisLattice:
 
     Verified clauses (any failure raises TheoremViolation naming it):
     bijection and order reversal; both round trips; meet and join laws
-    against pullback components and joined orbit partitions; fold =
+    as identities of orbit partitions of the universal total; fold =
     subgroup index; and regularity = normality.  Finally the vertex group
     of each quotient is checked isomorphic to its subgroup.
     """
@@ -399,10 +359,35 @@ def _verify_lattice(lat: GaloisLattice):
                 raise TheoremViolation(
                     "covering order does not mirror reversed subgroup "
                     "inclusion (clause: order reversal)")
-            # meet law (pullback component) — verified inside
-            meet_covering(lat.nodes[i], lat.nodes[j])
+            meet_covering(lat.nodes[i], lat.nodes[j])  # the meet law
             _check_join(lat.nodes[i].orbit, lat.nodes[j].orbit,
                         lat.nodes[lat.join(i, j)].orbit)
+
+
+def _check_meet(a: CoveringClass, b: CoveringClass, k: CoveringClass):
+    """Meet law on a pair: k's quotient is the marked component C of the
+    fibered product of a's and b's coverings, walked from the marks.
+    Exact: φ = (π_b, π_a) maps U = total(u) into C by a functor over G
+    (both projections are covering-checked).  The walked pairs must be
+    φ(U), so φ is onto C, and φ must partition U as k's orbits do, so
+    U/Π_k -> C is injective, and a functor, as :func:`quotient_covering`
+    gave each arrow block of k one member out of each object of its
+    domain block.  So C ≅ k as pointed coverings, on every object and
+    arrow.  As Π_a z ∩ Π_b z = (Π_a ∩ Π_b) z for a free action, φ's
+    fibers are the intersection's orbits: a conjugate of k fails."""
+    pa, pb, pk = a.orbit.projection, b.orbit.projection, k.orbit.projection
+    m = a.orbit.covering.mark
+    objs, walk = _lift_walk(a.covering, b.covering.morphism,
+                            (pb.obj_map[m], pa.obj_map[m]))
+    walked = (set(objs), {(u, v) for u, v, _, _ in walk})
+    for seen, mb, ma, mk in zip(walked, *[(p.obj_map, p.arr_map)
+                                          for p in (pb, pa, pk)]):
+        image = list(zip(mb, ma))  # φ on U's objects, then on its arrows
+        if set(image) != seen or len(seen) != len(set(mk)) \
+                or len(seen) != len(set(zip(image, mk))):
+            raise TheoremViolation(
+                "pullback component is not equivalent to the intersection "
+                "node (lattice meet law)")
 
 
 def _check_join(a: OrbitGroupoid, b: OrbitGroupoid, k: OrbitGroupoid):

@@ -62,6 +62,14 @@ def _need(obj, key, path, kind=None):
     return val
 
 
+def _name(val, path, what) -> str:
+    """A name in a document: a JSON scalar, read as its string."""
+    if isinstance(val, (list, dict)):
+        raise DocumentError(path, f"{what} name must be a scalar, not a "
+                            "list or object")
+    return str(val)
+
+
 def parse_groupoid(doc, path: str = "") -> FiniteGroupoid:
     if not isinstance(doc, dict):
         raise DocumentError(path or "/", "groupoid document must be an "
@@ -69,12 +77,9 @@ def parse_groupoid(doc, path: str = "") -> FiniteGroupoid:
     if "group_table" in doc:
         return group_groupoid(_parse_group(doc, path),
                               label=str(doc.get("object", "*")))
-    objects = _need(doc, "objects", path, list)
-    for i, name in enumerate(objects):
-        if isinstance(name, (list, dict)):
-            raise DocumentError(f"{path}/objects/{i}", "object name must be "
-                                "a scalar, not a list or object")
-    obj_index = {str(name): i for i, name in enumerate(objects)}
+    objects = [_name(x, f"{path}/objects/{i}", "object")
+               for i, x in enumerate(_need(doc, "objects", path, list))]
+    obj_index = {name: i for i, name in enumerate(objects)}
     if len(obj_index) != len(objects):
         raise DocumentError(f"{path}/objects", "object names must be "
                             "unique")
@@ -82,7 +87,7 @@ def parse_groupoid(doc, path: str = "") -> FiniteGroupoid:
     names, dom, cod = [], [], []
     for i, arr in enumerate(arrows):
         apath = f"{path}/arrows/{i}"
-        name = str(_need(arr, "name", apath))
+        name = _name(_need(arr, "name", apath), f"{apath}/name", "arrow")
         for key, out in (("dom", dom), ("cod", cod)):
             val = str(_need(arr, key, apath))
             if val not in obj_index:
@@ -123,7 +128,7 @@ def parse_groupoid(doc, path: str = "") -> FiniteGroupoid:
     else:
         inverse = _derive_inverses(dom, cod, identity, compose, names, path)
     g = FiniteGroupoid(len(objects), dom, cod, identity, compose, inverse,
-                       obj_labels=[str(x) for x in objects],
+                       obj_labels=objects,
                        arr_labels=names)
     report = validate(g)
     if not report.ok:
@@ -144,7 +149,8 @@ def _parse_group(doc, path) -> FiniteGroup:
         elements = [str(i) for i in range(n)]
     if not isinstance(elements, list):
         raise DocumentError(f"{path}/elements", "expected list")
-    elements = [str(e) for e in elements]
+    elements = [_name(e, f"{path}/elements/{i}", "element")
+                for i, e in enumerate(elements)]
     if len(elements) != n or len(set(elements)) != n:
         raise DocumentError(f"{path}/elements",
                             "element names must be unique and match the "
@@ -160,7 +166,7 @@ def _parse_group(doc, path) -> FiniteGroup:
             key = str(v)
             if key in index:
                 out.append(index[key])
-            elif isinstance(v, int) and 0 <= v < n:
+            elif type(v) is int and 0 <= v < n:  # an index, not a bool
                 out.append(v)
             else:
                 raise DocumentError(f"{path}/group_table/{i}/{j}",
@@ -259,7 +265,7 @@ def _resolve(doc, key, path, base_dir):
         except OSError as exc:
             raise DocumentError(f"{path}/{key}",
                                 f"cannot read {val!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DocumentError(f"{path}/{key}",
                                 f"invalid JSON in {val!r}: {exc}") from None
         return parse_groupoid(sub, f"{path}/{key}")
@@ -413,7 +419,7 @@ def _read(fname: str):
     with open(fname, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DocumentError("/", f"invalid JSON: {exc}") from None
     return doc, os.path.dirname(os.path.abspath(fname))
 

@@ -257,8 +257,8 @@ def check_main_lattice():
                 for i in range(n) for j in range(n))
     if not chain:
         return False, "C4 lattice is not a chain"
-    # meets and joins recomputed geometrically (pullback components and
-    # pushouts) happen inside build_lattice; spot-check the API surface
+    # meets and joins are checked on orbit partitions of the universal
+    # total inside build_lattice; spot-check the API surface
     a, b = lat.nodes[1], lat.nodes[2]
     meet_covering(a, b)
     pushout_covering(a.orbit.covering, b.orbit.covering)

@@ -11,15 +11,16 @@ import pytest
 from gpdcov import (FiniteGroupoid, GroupoidMorphism, TheoremViolation,
                     build_lattice, classify_covering, component_subgroupoid,
                     components, compose_morphisms, equivalent_coverings,
-                    fibered_product, is_connected, meet_covering,
-                    pullback_covering, pushout_covering, trivial_groupoid,
-                    universal_cover, verified_covering, vertex_group)
+                    fibered_product, is_connected, lift_morphism,
+                    meet_covering, pullback_covering, pushout_covering,
+                    trivial_groupoid, universal_cover, verified_covering,
+                    vertex_group)
 from gpdcov.classify import (GaloisLattice, PushoutResult, _check_join,
-                             _induced_on_quotient, _marked_component,
+                             _check_meet, _induced_on_quotient,
                              _same_image_pairs)
 from gpdcov.cli import main
 from gpdcov.construct import GroupAction, orbit_groupoid
-from gpdcov.covering import factor_through
+from gpdcov.covering import _lift_walk, covering_of_lifts, factor_through
 from gpdcov.documents import load_groupoid
 from gpdcov.groupoid import partition
 from gpdcov.groups import FiniteGroup
@@ -579,7 +580,7 @@ def test_meet_rejects_wrong_nodes(lat_s3, monkeypatch):
     the true meet, the meet clause raises each time.  The reference,
     which looks for an unpointed equivalence, accepts the conjugate: the
     two order-2 nodes are conjugate, so their quotients are equivalent
-    coverings.  Only the pointed lift tells them apart."""
+    coverings.  Their orbit partitions of the universal total differ."""
     a, conjugate = [n for n in lat_s3.nodes if n.subgroup.order == 2][:2]
     bottom, top = lat_s3.nodes[0], lat_s3.nodes[-1]
     assert bottom.subgroup.order == 1 and top.subgroup.order == 6
@@ -592,41 +593,126 @@ def test_meet_rejects_wrong_nodes(lat_s3, monkeypatch):
     assert reference_meet_covering(a, a) is conjugate
 
 
-def test_meet_checks_injectivity_and_counts_apart(lat_s3, monkeypatch):
-    """Each half of the bijection test stands on its own.  A real lift of a
-    connected covering is onto its component, so for it either half
-    implies the other; the lifts here are faked.  One folds the true meet
-    onto one object, so only injectivity fails.  One sends the top node's
-    single object and six arrows injectively into the larger marked
-    component, so only the counts fail."""
-    import gpdcov.classify as classify
-    a = [n for n in lat_s3.nodes if n.subgroup.order == 2][0]
-    top = lat_s3.nodes[-1]
+# -- the meet by a pointed lift into the marked component, verbatim ------------
 
-    def collapsed(p, f, f0, seed):
-        return GroupoidMorphism(f.source, p.total,
-                                (seed,) * f.source.n_objects,
-                                (p.total.identity[seed],)
-                                * f.source.n_arrows)
+def reference_marked_component(p, q, start):
+    """The component of the fibered product of p and q holding ``start``
+    = (object of total(q), object of total(p)), marked there, with its
+    object and arrow pairs.  It is the lift walk of q's projection through
+    p from ``start``: the arrows into (y, x) pair each arrow into y with
+    the lift into x of its image, so the pairs reached are closed under
+    whole stars, i.e. they are the component."""
+    obj_pairs, walk = _lift_walk(p, q.morphism, start)
+    arr_pairs = tuple((u, v) for u, v, _, _ in walk)
+    qt, pt = q.total, p.total
+    cov = covering_of_lifts(
+        p.base, tuple(q.morphism.obj_map[y] for y, _ in obj_pairs),
+        [(q.morphism.arr_map[u], d, c) for u, _, d, c in walk],
+        tuple(f"({qt.obj_labels[y]},{pt.obj_labels[x]})"
+              for y, x in obj_pairs),
+        tuple(f"({qt.arr_labels[u]},{pt.arr_labels[v]})"
+              for u, v in arr_pairs),
+        "pullback component", 0)
+    return cov, tuple(obj_pairs), arr_pairs
 
-    def into_star(p, f, f0, seed):
-        return GroupoidMorphism(f.source, p.total, (seed,),
-                                p.total._into[seed][:f.source.n_arrows])
 
-    for fake, meet in ((collapsed, lat_s3.index_of(a)),
-                       (into_star, lat_s3.index_of(top))):
-        monkeypatch.setattr(classify, "lift_morphism", fake)
-        monkeypatch.setattr(lat_s3, "meet", lambda i, j, k=meet: k)
-        with pytest.raises(TheoremViolation, match=MEET_LAW):
-            meet_covering(a, a)
+@lru_cache(maxsize=None)
+def reference_meet_component(a, b):
+    marked = a.lattice.universal.mark
+    # pairs carry (second factor, first factor), as in fibered_product
+    comp, _, _ = reference_marked_component(
+        a.covering, b.covering,
+        (b.orbit.projection.obj_map[marked],
+         a.orbit.projection.obj_map[marked]))
+    return comp
+
+
+def reference_pointed_meet(a, b, k):
+    """The meet clause as it was, with node k as the candidate: one
+    pointed lift of k's covering into the marked component of the fibered
+    product, which must be a bijection onto it.  The component is built
+    once per pair."""
+    comp = reference_meet_component(a, b)
+    expect = k.covering
+    m = lift_morphism(comp, expect.morphism, expect.mark, comp.mark)
+    n, c = expect.total.n_objects, expect.total.n_arrows
+    if (m is None or len(set(m.obj_map)) != n or len(set(m.arr_map)) != c
+            or comp.total.n_objects != n or comp.total.n_arrows != c):
+        raise TheoremViolation(
+            "pullback component is not equivalent to the intersection "
+            "node (lattice meet law)")
+
+
+def meet_verdict(clause, a, b, k):
+    try:
+        clause(a, b, k)
+    except TheoremViolation as exc:
+        assert MEET_LAW in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_meet_clause_matches_pointed_lift_reference(name):
+    """On every ordered pair, with every node of the lattice as candidate
+    meet node, the partition clause and the pointed lift give one verdict,
+    true for the meet node alone."""
+    lat = lattice_of(name)
+    for i, a in enumerate(lat.nodes):
+        for j, b in enumerate(lat.nodes):
+            for k, node in enumerate(lat.nodes):
+                verdict = meet_verdict(_check_meet, a, b, node)
+                assert verdict == (k == lat.meet(i, j))
+                assert verdict == \
+                    meet_verdict(reference_pointed_meet, a, b, node)
+
+
+def orbit_components(n, maps):
+    """networkx's connected components of the graph on 0..n-1 that joins
+    each x to its image under each of the maps."""
+    graph = networkx.Graph()
+    graph.add_nodes_from(range(n))
+    for images in maps:
+        graph.add_edges_from(enumerate(images))
+    return {frozenset(c) for c in networkx.connected_components(graph)}
+
+
+def blocks_of(labels):
+    out = {}
+    for x, v in enumerate(labels):
+        out.setdefault(v, set()).add(x)
+    return set(map(frozenset, out.values()))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_meet_node_orbits_are_networkx_components(name):
+    """The orbits of Π_a ∩ Π_b, found by networkx from the covering
+    transformations alone, are the meet node's orbits and the blocks of
+    U's pairing by the two orbit projections."""
+    lat = lattice_of(name)
+    u, ts = lat.universal.total, lat.cov_group.transformations
+    for i, a in enumerate(lat.nodes):
+        for j, b in enumerate(lat.nodes):
+            meet = lat.nodes[lat.meet(i, j)].orbit
+            common = [ts[e] for e in
+                      set(a.subgroup.elements) & set(b.subgroup.elements)]
+            pa, pb = a.orbit.projection, b.orbit.projection
+            for n, attr, orbits in (
+                    (u.n_objects, "obj_map", meet.obj_orbits),
+                    (u.n_arrows, "arr_map", meet.arr_orbits)):
+                want = orbit_components(
+                    n, [getattr(t, attr) for t in common])
+                assert set(map(frozenset, orbits)) == want
+                assert blocks_of(zip(getattr(pb, attr),
+                                     getattr(pa, attr))) == want
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_BASES))
 def test_meet_component_is_the_marked_block_of_the_product(name):
-    """The breadth-first walk of the meet reaches exactly the marked block
-    of the full fibered product: the same object pairs and the same arrow
-    pairs, each once.  The block is also networkx's connected component of
-    the product's dom–cod graph."""
+    """The breadth-first walk of the meet clause reaches exactly the
+    marked block of the full fibered product: the same object pairs and
+    the same arrow pairs, each once.  The block is also networkx's
+    connected component of the product's dom–cod graph."""
     lat = lattice_of(name)
     marked = lat.universal.mark
     for a in lat.nodes:
@@ -634,11 +720,10 @@ def test_meet_component_is_the_marked_block_of_the_product(name):
             # (second factor, first factor), as in fibered_product
             start = (b.orbit.projection.obj_map[marked],
                      a.orbit.projection.obj_map[marked])
-            comp, obj_pairs, arr_pairs = _marked_component(
-                a.covering, b.covering, start)
-            assert obj_pairs[0] == start and comp.marked_object == 0
-            assert comp.total.n_objects == len(obj_pairs)
-            assert comp.total.n_arrows == len(arr_pairs)
+            obj_pairs, walk = _lift_walk(a.covering, b.covering.morphism,
+                                         start)
+            arr_pairs = [(u, v) for u, v, _, _ in walk]
+            assert obj_pairs[0] == start
             prod = fibered_product(a.covering, b.covering)
             total = prod.covering.total
             marked_obj = prod.obj_pairs.index(start)
@@ -658,29 +743,86 @@ def test_meet_component_is_the_marked_block_of_the_product(name):
                 == set(block)
 
 
-def test_meet_builds_one_groupoid(lat_s3, monkeypatch):
-    """One call builds one groupoid, the marked component of the fibered
-    product, with exactly the objects and arrows of the meet node's
-    total; it builds neither the pullback nor the full product."""
+def test_meet_builds_no_groupoid(lat_s3, monkeypatch):
+    """The meet clause builds no groupoid, and calls none of the
+    constructions that the pointed lift or the full product need."""
     import gpdcov.classify as classify
 
     def refuse(*args, **kwargs):
         raise AssertionError("called by meet_covering")
 
-    for name in ("pullback_covering", "fibered_product"):
+    for name in ("covering_of_lifts", "lift_morphism", "fibered_product",
+                 "pullback_covering"):
         monkeypatch.setattr(classify, name, refuse)
-    built = []
-    init = FiniteGroupoid.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(FiniteGroupoid, "__init__", counting)
+    monkeypatch.setattr(FiniteGroupoid, "__init__", refuse)
     for a in lat_s3.nodes:
         for b in lat_s3.nodes:
-            built.clear()
-            node = meet_covering(a, b)
-            assert len(built) == 1
-            assert built[0].n_objects == node.covering.total.n_objects
-            assert built[0].n_arrows == node.covering.total.n_arrows
+            assert meet_covering(a, b) is \
+                lat_s3.nodes[lat_s3.meet(lat_s3.index_of(a),
+                                         lat_s3.index_of(b))]
+
+
+def relabelled(node, attr, change):
+    """A stand-in for node whose orbit labels on objects or arrows
+    (``attr``) are rewritten by ``change``."""
+    proj = node.orbit.projection
+    maps = {"obj_map": proj.obj_map, "arr_map": proj.arr_map}
+    maps[attr] = change(list(maps[attr]))
+    return SimpleNamespace(orbit=SimpleNamespace(
+        projection=SimpleNamespace(**maps)))
+
+
+def merge_two_blocks(labels):
+    return [0 if v == 1 else v for v in labels]
+
+
+def split_one_block(labels):
+    x = labels.index(labels[0], 1)  # a second member of block 0
+    labels[x] = max(labels) + 1
+    return labels
+
+
+@pytest.mark.parametrize("attr", ["obj_map", "arr_map"])
+@pytest.mark.parametrize("change", [merge_two_blocks, split_one_block])
+def test_meet_rejects_a_k_that_merges_or_splits_blocks(lat_s3, attr,
+                                                      change):
+    """A candidate whose labels merge two pair blocks, or split one, on
+    objects or on arrows alone, fails; the true meet, here a itself,
+    passes."""
+    a = [n for n in lat_s3.nodes if n.subgroup.order == 2][0]
+    _check_meet(a, a, a)
+    with pytest.raises(TheoremViolation, match=MEET_LAW):
+        _check_meet(a, a, relabelled(a, attr, change))
+
+
+def swapped(start):
+    return start[::-1]
+
+
+def next_in_fiber(start):
+    return start[0], start[1] + 1
+
+
+@pytest.mark.parametrize("name, i, j, restart", [
+    # the swapped pair: another component, of another size
+    ("codiscrete-2-x-s3-shuffled", 1, 3, swapped),
+    # a = b regular of fold 2: the other component, of the same size
+    ("fixture-s3", 4, 4, next_in_fiber),
+])
+def test_meet_rejects_a_walk_from_a_wrong_pair(monkeypatch, name, i, j,
+                                               restart):
+    """With the true meet node as k, a walk started at a pair outside the
+    marked component fails; started at the pair of marks, it passes."""
+    import gpdcov.classify as classify
+    lat = lattice_of(name)
+    a, b, k = lat.nodes[i], lat.nodes[j], lat.nodes[lat.meet(i, j)]
+    mark = lat.universal.mark
+    start = (b.orbit.projection.obj_map[mark],
+             a.orbit.projection.obj_map[mark])
+    assert restart(start) != start
+    _check_meet(a, b, k)
+    walk = classify._lift_walk
+    monkeypatch.setattr(classify, "_lift_walk",
+                        lambda p, f, s: walk(p, f, restart(s)))
+    with pytest.raises(TheoremViolation, match=MEET_LAW):
+        _check_meet(a, b, k)

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import re
 from pathlib import Path
 
@@ -368,3 +370,102 @@ def test_unwritable_out_is_an_input_error(capsys, tmp_path, argv):
         assert code == 2 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
+
+
+# -- malformed documents are input errors --------------------------------------
+
+DEEP = "[" * 10000 + "]" * 10000
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP, encoding="utf-8")
+    code, out, err = run_err(capsys, "validate", deep)
+    assert code == 2 and out == ""
+    assert err.startswith("error: /: invalid JSON") and err.count("\n") == 1
+
+
+def test_deeply_nested_cover_target_is_an_input_error(capsys, tmp_path):
+    (tmp_path / "deep.json").write_text(DEEP, encoding="utf-8")
+    doc = json.loads((GOLDEN / "universal-c4.out").read_text(
+        encoding="utf-8"))
+    doc["target"] = "deep.json"
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_err(capsys, "fold", cover)
+    assert code == 2 and out == ""
+    assert err.startswith("error: /target: invalid JSON in 'deep.json'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"objects": ["x"], "arrows": [{"name": {"a": 1}, "dom": "x",
+                                    "cod": "x"}],
+      "compose": [[{"a": 1}, {"a": 1}, {"a": 1}]]}, "/arrows/0/name"),
+    ({"objects": ["x"], "arrows": [{"name": ["e"], "dom": "x", "cod": "x"}],
+      "compose": [[["e"], ["e"], ["e"]]]}, "/arrows/0/name"),
+    ({"group_table": [[{"e": 0}]], "elements": [{"e": 0}]}, "/elements/0"),
+    ({"group_table": [[False, True], [True, False]]}, "/group_table/0/0"),
+])
+def test_names_are_scalars_and_indexes_are_not_bools(capsys, tmp_path, doc,
+                                                     where):
+    """Arrow and element names, like object names, are JSON scalars, and a
+    group table entry read as an index is an integer, not a bool."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_err(capsys, "validate", bad)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+
+FUZZ_VALUES = (None, -1, 10**30, "", [], {}, [[]], True, 1.5)
+DELETE = object()  # the mutation that deletes a dict key
+
+
+def fuzzed(doc, depth=3):
+    """Copies of doc with one value at depth 1 to ``depth`` replaced by
+    each of FUZZ_VALUES, or with one dict key deleted."""
+    def sites(node, path):
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            yield path + (key,)
+            if len(path) + 1 < depth and isinstance(node[key], (dict, list)):
+                yield from sites(node[key], path + (key,))
+
+    text = json.dumps(doc)
+    for path in sites(doc, ()):
+        for value in FUZZ_VALUES + (DELETE,):
+            out = json.loads(text)  # a deep copy
+            parent = functools.reduce(operator.getitem, path[:-1], out)
+            if value is not DELETE:
+                parent[path[-1]] = value
+            elif isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                continue  # list items are replaced, never deleted
+            yield out
+
+
+FUZZ_CASES = (
+    (FIXTURES / "i2.json", (("validate",), ("universal",))),
+    (GOLDEN / "universal-c4.out", (("fold",),)),
+    (GOLDEN / "cov-action-universal-c4.json", (("orbit", "--action"),)),
+    (GOLDEN / "to-presheaf-c4-2.out", (("from-presheaf",),)),
+)
+
+
+@pytest.mark.parametrize("source, commands", FUZZ_CASES,
+                         ids=[source.name for source, _ in FUZZ_CASES])
+def test_fuzzed_documents_keep_the_exit_code_contract(capsys, tmp_path,
+                                                      source, commands):
+    """Each mutation of a valid document, run through the commands that
+    read it, exits 0, 1 or 2: never 3, never with an exception."""
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    path = tmp_path / "doc.json"
+    runs = 0
+    for mutant in fuzzed(doc):
+        path.write_text(json.dumps(mutant), encoding="utf-8")
+        for command in commands:
+            assert main([*command, str(path)]) in (0, 1, 2), (mutant, command)
+            runs += 1
+    capsys.readouterr()
+    assert runs > 400
