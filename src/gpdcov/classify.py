@@ -196,7 +196,10 @@ class CoveringClass:
 class GaloisLattice:
     """All covering classes over one base, indexed by the subgroups of the
     universal covering-transformation group, with both the subgroup order
-    and the covering order available."""
+    and the covering order available.  The meet table holds the node of
+    each pair's intersection, and the join table the node of least order
+    above both, read from the node list: it lies in every node that holds
+    both subgroups, so it is the generated subgroup."""
 
     def __init__(self, base, base_object, universal, cov_group, nodes):
         self.base = base
@@ -209,9 +212,12 @@ class GaloisLattice:
         for n in self.nodes:
             n._lattice = weakref.ref(self)
         at, subs = self._by_subgroup, [n.subgroup for n in self.nodes]
-        self._meet, self._join = (  # the subgroup side, once per pair
-            tuple(tuple(at[op(s, t).elements] for t in subs) for s in subs)
-            for op in (Subgroup.intersection, Subgroup.join))
+        self._meet = tuple(tuple(at[s.intersection(t).elements]
+                                 for t in subs) for s in subs)
+        ids = range(len(subs))
+        above = [{k for k in ids if self.subgroup_leq(i, k)} for i in ids]
+        self._join = tuple(tuple(min(up & other, key=lambda k: subs[k].order)
+                                 for other in above) for up in above)
 
     def __len__(self):
         return len(self.nodes)

@@ -24,7 +24,7 @@ from .covering import (Covering, GroupoidMorphism, compose_morphisms,
                        covering_of_lifts, factor_through, verified_covering)
 from .groupoid import (FiniteGroupoid, Partition, is_connected,
                        partition, vertex_group)
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, generating_set
 from .transform import CovGroup, covering_transformations, is_regular
 
 
@@ -45,32 +45,46 @@ class GroupAction:
         self.validate()
 
     def validate(self):
+        """Raise ValueError unless ρ(e) = id, each ρ(k) is a bijective
+        morphism of the space, and ρ(ab) = ρ(a)∘ρ(b) on objects and arrows.
+
+        The checks run first for ρ(e) and the generators a of the group,
+        with the law for each a and every b.  On a groupoid that is exact:
+        the a with ρ(ab) = ρ(a)∘ρ(b) for all b are closed under products
+        once ρ(e) = id, and each ρ(k) is a composite of generator actions.
+        If that fails or raises, every element and pair is scanned.
+        """
         g, sp = self.group, self.space
         e = g.identity
         if self.obj_maps[e] != tuple(sp.objects) \
                 or self.arr_maps[e] != tuple(sp.arrows):
             raise ValueError("identity element must act as the identity")
-        for k in range(g.order):
-            m = GroupoidMorphism(sp, sp, self.obj_maps[k], self.arr_maps[k])
-            if not m.is_bijective():
-                raise ValueError(f"element {k} does not act bijectively")
-            bad = m.functoriality_violations()
-            if bad:
-                raise ValueError(
-                    f"element {k} does not act by a morphism: {bad[0]}")
-        for a in range(g.order):
-            for b in range(g.order):
-                ab = g.mult(a, b)
-                for x in sp.objects:
-                    if self.obj_maps[ab][x] != \
-                            self.obj_maps[a][self.obj_maps[b][x]]:
+        gens = generating_set(g)
+        for elements, lefts in (((e, *gens), gens), (range(g.order),) * 2):
+            try:
+                for k in elements:
+                    m = GroupoidMorphism(sp, sp, self.obj_maps[k],
+                                         self.arr_maps[k])
+                    if not m.is_bijective():
                         raise ValueError(
-                            f"action law fails on objects at ({a}, {b})")
-                for r in sp.arrows:
-                    if self.arr_maps[ab][r] != \
-                            self.arr_maps[a][self.arr_maps[b][r]]:
+                            f"element {k} does not act bijectively")
+                    bad = m.functoriality_violations()
+                    if bad:
                         raise ValueError(
-                            f"action law fails on arrows at ({a}, {b})")
+                            f"element {k} does not act by a morphism: "
+                            f"{bad[0]}")
+                for a in lefts:
+                    for b in range(g.order):
+                        for what, maps in (("objects", self.obj_maps),
+                                           ("arrows", self.arr_maps)):
+                            if maps[g.mult(a, b)] != tuple(
+                                    map(maps[a].__getitem__, maps[b])):
+                                raise ValueError(f"action law fails on "
+                                                 f"{what} at ({a}, {b})")
+                return
+            except (IndexError, ValueError):
+                if lefts is not gens:  # only the full scan's error is raised
+                    raise
 
     def act_obj(self, k: int, x: int) -> int:
         return self.obj_maps[k][x]
@@ -80,13 +94,10 @@ class GroupAction:
 
     def fixed_point(self):
         """(element, object) witnessing non-freeness, or None."""
-        for k in range(self.group.order):
-            if k == self.group.identity:
-                continue
-            for x in self.space.objects:
-                if self.obj_maps[k][x] == x:
-                    return k, x
-        return None
+        return next(((k, x) for k in range(self.group.order)
+                     if k != self.group.identity
+                     for x in self.space.objects if self.obj_maps[k][x] == x),
+                    None)
 
     def is_free(self) -> bool:
         return self.fixed_point() is None

@@ -67,17 +67,16 @@ class GroupoidMorphism:
         the wrong dom or cod, objects whose identity is not preserved,
         then source pairs whose composite is not preserved.
 
-        Composition is first checked on the generating set A of the
-        source (:func:`~gpdcov.groupoid.generators`): F(a∘x) = F(a)∘F(x)
-        for every a in A and x into dom(a), about |A|·|star| lookups.  The
-        arrows w with F(w∘x) = F(w)∘F(x) for all x are closed under
-        composition when source and target are associative, so this
-        certifies every pair.  Every groupoid the package builds, or
-        parses and validates, is associative; a hand-built
-        non-associative table may get ``[]`` here.  When an earlier law
-        fails, when the source has no certified generating set, or when
-        the certificate fails, the whole source table is scanned, so the
-        messages and their order are those of that scan.
+        Composition is first checked on the part R of the source's
+        generating set (:func:`~gpdcov.groupoid.generators`, which proves
+        R enough): F(a∘x) = F(a)∘F(x) for every a in R and x into dom(a),
+        about |R|·|star| lookups.  That is exact when source and target
+        obey the groupoid laws, as every groupoid the package builds, or
+        parses and validates, does; a hand-built table that breaks them
+        may get ``[]`` here.  When an earlier law fails, when the source
+        has no certified generating set, or when the certificate fails,
+        the whole source table is scanned, so the messages and their
+        order are those of that scan.
         """
         src, dst = self.source, self.target
         arr = self.arr_map
@@ -100,16 +99,19 @@ class GroupoidMorphism:
         return bad
 
     def _keeps_composites_on(self, gens) -> bool:
-        """F(a∘x) = F(a)∘F(x) for every a in ``gens`` and every x into
-        dom(a); False when ``gens`` is None.  ``gens`` comes from
-        :func:`~gpdcov.groupoid.generators` of the source, whose check
-        looked up every source composite read here."""
+        """F(a∘x) = F(a)∘F(x) for every a ≤ a⁻¹ in ``gens`` that is not an
+        identity and every x into dom(a); False when ``gens`` is None.
+        ``gens`` comes from :func:`~gpdcov.groupoid.generators` of the
+        source, whose check looked up every source composite read here."""
         if gens is None:
             return False
         src, arr, dc = self.source, self.arr_map, self.target.compose
         sc, into, dom = src.compose, src._into, src.dom
+        inverse, identity = src.inverse, src.identity
         try:
             for a in gens:
+                if inverse[a] < a or identity[dom[a]] == a:
+                    continue
                 fa, xs = arr[a], into[dom[a]]
                 if [dc[(fa, arr[x])] for x in xs] != \
                         [arr[sc[(a, x)]] for x in xs]:
@@ -424,9 +426,7 @@ def fiber_transport(p: Covering, f_arrow: int) -> FiberTransport:
     src = fiber(p, base.cod[f_arrow])
     dst = fiber(p, base.dom[f_arrow])
     total = p.total
-    obj_map = {}
-    for x in src.objects:
-        obj_map[x] = total.dom[p.lift(f_arrow, x)]
+    obj_map = {x: total.dom[p.lift(f_arrow, x)] for x in src.objects}
     arr_map = {}
     for s in src.arrows:
         a1 = p.lift(f_arrow, total.dom[s])
@@ -591,14 +591,9 @@ def is_weak_equivalence(f: GroupoidMorphism) -> bool:
            for x in f.source.objects}
     if len(set(hit.values())) != len(dst_parts):
         return False
-    for x in f.source.objects:
-        loops = f.source.loops(x)
-        images = {f.arr_map[a] for a in loops}
-        if len(images) != len(loops):
-            return False
-        if len(loops) != len(f.target.loops(f.obj_map[x])):
-            return False
-    return True
+    return all(len({f.arr_map[a] for a in f.source.loops(x)})
+               == len(f.source.loops(x)) == len(f.target.loops(f.obj_map[x]))
+               for x in f.source.objects)
 
 
 # -- morphism enumeration ----------------------------------------------------

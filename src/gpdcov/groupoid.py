@@ -20,12 +20,12 @@ connected components with it on its first call and keeps it.
 
 :func:`generators` finds, on its first call, a generating set A of the
 groupoid that is closed under inverses and holds every identity, checks
-that A generates, and keeps it.  Laws that are closed under composition
-need then only be checked on A: :func:`validate` checks associativity on
-the triples (f, a, k) with a in A (F. W. Light's test), so a groupoid that
-passes costs O(arrows + composable pairs) to validate, about O(|compose|)
-lookups; the scan of all composable triples runs only when that test
-fails, to name every offending triple.
+that A generates, and keeps it.  Laws closed under composition are then
+checked on part of A, as :func:`generators` details: :func:`validate`
+checks associativity on the triples (f, a, k) with a in A not an identity
+(F. W. Light's test), so a groupoid that passes costs O(|compose|)
+lookups to validate; the scan of all composable triples runs only when
+that test fails, to name every offending triple.
 
 Each groupoid is built once, by its one constructor, and is immutable:
 ``compose`` is a read-only mapping.  All operations are pure.
@@ -219,15 +219,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     bad = []
     n, m = g.n_objects, g.n_arrows
     for a in range(m):
-        if not 0 <= g.dom[a] < n:
-            bad.append(Violation("dom-range", (a,),
-                                 f"arrow {a} has out-of-range dom"))
-        if not 0 <= g.cod[a] < n:
-            bad.append(Violation("cod-range", (a,),
-                                 f"arrow {a} has out-of-range cod"))
-        if not 0 <= g.inverse[a] < m:
-            bad.append(Violation("inverse-range", (a,),
-                                 f"arrow {a} has out-of-range inverse"))
+        for what, v, bound in (("dom", g.dom[a], n), ("cod", g.cod[a], n),
+                               ("inverse", g.inverse[a], m)):
+            if not 0 <= v < bound:
+                bad.append(Violation(f"{what}-range", (a,),
+                                     f"arrow {a} has out-of-range {what}"))
     for x in range(n):
         e = g.identity[x]
         if not 0 <= e < m:
@@ -314,16 +310,19 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
 
 def _associative_on(g: FiniteGroupoid, gens) -> bool:
     """Light's test: (f∘h)∘k = f∘(h∘k) for every h in the generating set
-    ``gens`` and every f, k composable with it; False when ``gens`` is
-    None.  For a table that is defined exactly on the composable pairs,
-    the arrows h passing this test are closed under composition
-    (Clifford–Preston, *The Algebraic Theory of Semigroups*, vol. 1), so
-    passing it on a generating set is associativity.  Costs
-    Σ_h |into(dom h)|·|out(cod h)| lookups."""
+    ``gens`` that is not an identity and every f, k composable with it;
+    False when ``gens`` is None.  For a table that is defined exactly on
+    the composable pairs, the arrows h passing this test are closed under
+    composition (Clifford–Preston, *The Algebraic Theory of Semigroups*,
+    vol. 1), and identities pass by the identity laws, so passing it on a
+    generating set is associativity.  Costs Σ_h |into(dom h)|·|out(cod h)|
+    lookups."""
     if gens is None:
         return False
     compose, into, out, dom, cod = g.compose, g._into, g._out, g.dom, g.cod
     for h in gens:
+        if g.identity[dom[h]] == h:
+            continue
         ks = into[dom[h]]
         hks = [compose[(h, k)] for k in ks]
         for f in out[cod[h]]:
@@ -349,7 +348,16 @@ def generators(g: FiniteGroupoid):
     closure misses an arrow, when a lookup it needs is missing, when an id
     is out of range, or when the table has more or fewer entries than
     there are composable pairs.  Computed on the first call and kept on the
-    groupoid."""
+    groupoid.
+
+    Each certificate reads the part of A that implies its law.  Light's
+    test in :func:`validate` skips identities: the identity laws, checked
+    first, give (f∘id)∘k = f∘(id∘k).  ``functoriality_violations`` reads
+    R, the non-identity a ≤ a⁻¹ in A.  The w with F(w∘x) = F(w)∘F(x) for
+    all x are closed under composition, hold the identities, which F
+    preserves by then, and hold a⁻¹ with a: x = a⁻¹ gives F(a⁻¹) = F(a)⁻¹,
+    and y = a∘(a⁻¹∘y) then F(a⁻¹∘y) = F(a⁻¹)∘F(y).  ``CovGroup`` compares
+    functors on R and the identities, as functors preserve inverses."""
     if g._generators is _NOT_YET:
         g._generators = _generating_set(g)
     return g._generators

@@ -31,10 +31,10 @@ class CovGroup:
 
     Closure is checked for every pair: the transformation named by the
     composite's image of the marked object must equal the composite.  All
-    of them are functors, and functors that agree on a generating set
-    holding every identity are equal, so the comparison runs on the
-    arrows of :func:`~gpdcov.groupoid.generators` of the total, or on
-    every arrow when the total has no certified generating set.
+    of them are functors, which agree when they agree on the arrows a ≤ a⁻¹
+    of :func:`~gpdcov.groupoid.generators` of the total, so the comparison
+    runs on those, or on every arrow when the total has no certified
+    generating set.
     """
 
     def __init__(self, covering: Covering, transformations,
@@ -49,7 +49,8 @@ class CovGroup:
         if len(key) != len(transformations):
             raise TheoremViolation(
                 "two covering transformations agree on an object")
-        gens = generators(covering.total)
+        gens, inverse = generators(covering.total), covering.total.inverse
+        gens = gens and tuple(a for a in gens if a <= inverse[a])
         table = []
         for t1 in self.transformations:
             row = []
@@ -74,10 +75,8 @@ class CovGroup:
 
     def index_by_object_image(self, src: int, dst: int):
         """The transformation index with t(src) = dst, or None."""
-        for i, t in enumerate(self.transformations):
-            if t.obj_map[src] == dst:
-                return i
-        return None
+        return next((i for i, t in enumerate(self.transformations)
+                     if t.obj_map[src] == dst), None)
 
     def index_of(self, morphism: GroupoidMorphism):
         """Match a concrete automorphism against the stored list."""

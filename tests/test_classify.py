@@ -826,3 +826,31 @@ def test_meet_rejects_a_walk_from_a_wrong_pair(monkeypatch, name, i, j,
                         lambda p, f, s: walk(p, f, restart(s)))
     with pytest.raises(TheoremViolation, match=MEET_LAW):
         _check_meet(a, b, k)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_join_table_is_the_generated_subgroup(name):
+    """The join table, read from the node list as the least node above
+    both, names the node of Subgroup.join on every ordered pair."""
+    lat = lattice_of(name)
+    subs = [node.subgroup for node in lat.nodes]
+    for i, s in enumerate(subs):
+        for j, t in enumerate(subs):
+            assert lat.join(i, j) == lat.index_of(lat.node_for_subgroup(
+                s.join(t)))
+
+
+def test_join_table_closes_no_subgroup(s3, monkeypatch):
+    """Building the tables closes no subgroup: the meet intersects
+    element sets and the join is read from the node list."""
+    lat = build_lattice(s3, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("subgroup closed while building the tables")
+
+    monkeypatch.setattr(FiniteGroup, "closure", refuse)
+    again = GaloisLattice(lat.base, lat.base_object, lat.universal,
+                          lat.cov_group, lat.nodes)
+    n = len(lat)
+    assert [[again.join(i, j) for j in range(n)] for i in range(n)] == \
+        [[lat.join(i, j) for j in range(n)] for i in range(n)]

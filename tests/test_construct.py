@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,9 @@ from gpdcov import (Covering, FiniteGroup, GroupAction, GroupoidMorphism,
                     partition, pushforward_vertex, quotient_comparison,
                     quotient_covering, universal_cover, vertex_group)
 from gpdcov.classify import _quotient_to_base
+from gpdcov.groups import generating_set
+
+from test_classify import LATTICE_BASES, lattice_of
 
 
 def swap_action(i2):
@@ -203,3 +207,149 @@ def test_quotient_covering_names_what_on_failure(i2, arr_pairs, message):
     with pytest.raises(TheoremViolation, match=f"^test quotient: {message}"):
         quotient_covering(i2, one_object, partition(i2.n_arrows, arr_pairs),
                           "test quotient")
+
+
+# -- the action law on generators against the scan of every pair -------------
+
+def reference_validate_action(action):
+    """GroupAction.validate as it scanned every element and every pair,
+    kept verbatim as an oracle."""
+    self = action
+    g, sp = self.group, self.space
+    e = g.identity
+    if self.obj_maps[e] != tuple(sp.objects) \
+            or self.arr_maps[e] != tuple(sp.arrows):
+        raise ValueError("identity element must act as the identity")
+    for k in range(g.order):
+        m = GroupoidMorphism(sp, sp, self.obj_maps[k], self.arr_maps[k])
+        if not m.is_bijective():
+            raise ValueError(f"element {k} does not act bijectively")
+        bad = m.functoriality_violations()
+        if bad:
+            raise ValueError(
+                f"element {k} does not act by a morphism: {bad[0]}")
+    for a in range(g.order):
+        for b in range(g.order):
+            ab = g.mult(a, b)
+            for x in sp.objects:
+                if self.obj_maps[ab][x] != \
+                        self.obj_maps[a][self.obj_maps[b][x]]:
+                    raise ValueError(
+                        f"action law fails on objects at ({a}, {b})")
+            for r in sp.arrows:
+                if self.arr_maps[ab][r] != \
+                        self.arr_maps[a][self.arr_maps[b][r]]:
+                    raise ValueError(
+                        f"action law fails on arrows at ({a}, {b})")
+
+
+def _node_actions(name):
+    lat = lattice_of(name)
+    return [lat.cov_group.action_of_subgroup(n.subgroup) for n in lat.nodes]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_node_actions_pass_the_reference(name):
+    """Building each node action runs validate; the scan accepts it too."""
+    for action in _node_actions(name):
+        reference_validate_action(action)
+
+
+def test_validate_checks_functoriality_on_generators_only(monkeypatch):
+    """On an action that passes, ρ(e) and the generators' actions are the
+    only maps checked for functoriality."""
+    cov = lattice_of("fixture-s3").cov_group
+    calls = []
+    original = GroupoidMorphism.functoriality_violations
+    monkeypatch.setattr(GroupoidMorphism, "functoriality_violations",
+                        lambda m: calls.append(m) or original(m))
+    cov.as_action()
+    assert len(calls) == 1 + len(generating_set(cov.group)) < cov.order
+
+
+def _outcome(group, space, obj_maps, arr_maps, build):
+    try:
+        build(group, space, obj_maps, arr_maps)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(action):
+    """(label, obj_maps, arr_maps): one arrow image changed in a
+    non-generator element's map, to a parallel arrow and to any other
+    arrow, alone and with a second image moved to keep a bijection; two
+    non-generator elements' maps swapped; a generator whose arrow map
+    swaps two arrows' images, and all maps conjugated by that swap, which
+    keeps the action law; object or arrow images out of range, high
+    or negative, on each non-generator and on a generator; and maps one
+    entry short or long."""
+    g, sp = action.group, action.space
+    gens = generating_set(g)
+    others = [k for k in range(g.order) if k != g.identity
+              and k not in gens]
+    rng = random.Random(g.order * 1000 + sp.n_arrows)
+    oms, ams = list(map(list, action.obj_maps)), \
+        list(map(list, action.arr_maps))
+
+    def edited(maps, k, i, v):
+        out = [list(row) for row in maps]
+        out[k][i] = v
+        return out
+
+    k, r = rng.choice(others), rng.choice(list(sp.arrows))
+    fr = ams[k][r]
+    for b in (sp.hom(sp.dom[fr], sp.cod[fr]) + (fr - 1, fr + 1)):
+        if b != fr and 0 <= b < sp.n_arrows:
+            yield "arrow changed", oms, edited(ams, k, r, b)
+            # the same change with the image of b's preimage moved to fr,
+            # so that ρ(k) stays a bijection
+            yield "arrow changed", oms, edited(
+                edited(ams, k, r, b), k, ams[k].index(b), fr)
+    k1, k2 = rng.sample(others, 2)
+    swapped_o, swapped_a = list(oms), list(ams)
+    swapped_o[k1], swapped_o[k2] = oms[k2], oms[k1]
+    swapped_a[k1], swapped_a[k2] = ams[k2], ams[k1]
+    yield "two elements swapped", swapped_o, swapped_a
+    a = rng.choice(gens)
+    r1, r2 = rng.sample([r for r in sp.arrows if r not in sp.identity], 2)
+    twisted = [list(row) for row in ams]
+    twisted[a][r1], twisted[a][r2] = ams[a][r2], ams[a][r1]
+    yield "generator not functorial", oms, twisted
+    # conjugated by the swap σ of r1 and r2 on arrows, the maps still
+    # satisfy the action law, but not every one of them is a functor
+    sigma = list(sp.arrows)
+    sigma[r1], sigma[r2] = r2, r1
+    yield "generator not functorial", oms, [[sigma[row[sigma[r]]]
+                                             for r in sp.arrows]
+                                            for row in ams]
+    for k in others + [a]:
+        for bad in (sp.n_objects, -1):
+            yield "object out of range", edited(oms, k, 0, bad), ams
+        for bad in (sp.n_arrows, -1):
+            yield "arrow out of range", oms, edited(ams, k, r, bad)
+    for k in (rng.choice(others), a):
+        for maps in (oms, ams):
+            for row in (maps[k][:-1], maps[k] + maps[k][:1]):
+                out = [list(r) for r in maps]
+                out[k] = row
+                yield ("map of the wrong length",
+                       *((out, ams) if maps is oms else (oms, out)))
+
+
+@pytest.mark.parametrize("name", ["fixture-c4", "fixture-s3", "s3",
+                                  "codiscrete-2-x-s3-shuffled",
+                                  "loop-subgroupoid"])
+def test_validate_raises_the_reference_message_on_corruptions(name):
+    action = lattice_of(name).cov_group.as_action()
+    labels = set()
+    for label, oms, ams in _corruptions(action):
+        args = (action.group, action.space, oms, ams)
+        want = _outcome(*args, lambda *a: reference_validate_action(
+            SimpleNamespace(group=a[0], space=a[1],
+                            obj_maps=tuple(map(tuple, a[2])),
+                            arr_maps=tuple(map(tuple, a[3])))))
+        assert want is not None, label
+        assert _outcome(*args, GroupAction) == want, label
+        labels.add(label)
+    assert len(labels) == 6

@@ -505,3 +505,57 @@ def test_functoriality_without_generators_scans_the_table():
                   GroupoidMorphism(broken, g, g.objects, shifted)):
             assert m.functoriality_violations() == \
                 reference_functoriality_violations(m)
+
+
+# -- arrows that the reduced functor certificate never reads ------------------
+
+def _moved_to_parallels(m: GroupoidMorphism, a: int):
+    """m with the image of the arrow a moved to each other arrow parallel
+    to it: dom, cod and identities stay right, so only composition can
+    catch the move."""
+    fa, dst = m.arr_map[a], m.target
+    for b in dst.hom(dst.dom[fa], dst.cod[fa]):
+        if b != fa:
+            arr_map = list(m.arr_map)
+            arr_map[a] = b
+            yield GroupoidMorphism(m.source, dst, m.obj_map, arr_map)
+
+
+def _assert_caught_by_composition(bad: GroupoidMorphism):
+    assert not bad._keeps_composites_on(generators(bad.source))
+    got = bad.functoriality_violations()
+    assert got and got == reference_functoriality_violations(bad)
+    assert all("composition not preserved" in msg for msg in got)
+
+
+@pytest.mark.parametrize("name", ["codiscrete-2-x-s3-shuffled",
+                                  "codiscrete-3-x-c2-shuffled",
+                                  "union-of-products", "opposite"])
+def test_functoriality_catches_moves_on_arrows_it_skips(name):
+    """The certificate reads, as left factor, one arrow of each inverse
+    pair of the generating set and no identity.  A wrong image on the
+    inverse of a spanning-tree arrow alone, or on a loop outside the
+    generating set alone, is still caught by the certificate, with the
+    full scan's messages: on the identity morphism, and on the universal
+    projection of a connected groupoid."""
+    g = CORPUS[name]
+    gens = set(generators(g))
+    tree_inverses = [a for a in gens
+                     if g.dom[a] != g.cod[a] and g.inverse[a] < a]
+    other_loops = [a for x in g.objects for a in g.loops(x)
+                   if a not in gens]
+    assert tree_inverses and other_loops
+    identity = GroupoidMorphism.identity(g)
+    for a in tree_inverses + other_loops:
+        for bad in _moved_to_parallels(identity, a):
+            _assert_caught_by_composition(bad)
+    if is_connected(g):
+        p = universal_cover(g).morphism
+        u = p.source
+        u_gens = generators(u)
+        skipped = [a for a in u_gens
+                   if u.dom[a] != u.cod[a] and u.inverse[a] < a]
+        assert skipped
+        for a in skipped:
+            for bad in _moved_to_parallels(p, a):
+                _assert_caught_by_composition(bad)

@@ -16,7 +16,7 @@ from gpdcov import (FiniteGroup, FiniteGroupoid, codiscrete_groupoid,
                     generators, group_groupoid, opposite, partition, star,
                     subgroupoid, trivial_groupoid, universal_cover,
                     validate)
-from gpdcov.groupoid import ValidationReport, Violation
+from gpdcov.groupoid import ValidationReport, Violation, _associative_on
 
 
 def reference_validate(g: FiniteGroupoid) -> ValidationReport:
@@ -390,6 +390,47 @@ def test_validate_matches_reference_on_every_changed_entry(name):
         report = validate(broken)
         assert not report.ok
         assert report.violations == reference_validate(broken).violations
+
+
+def _entry_kind(g, gens, f, h):
+    """How the pair (f, h) meets the generating set: through an identity,
+    which Light's test skips; not at all; or through the greater arrow of
+    an inverse pair, which the functor certificate skips."""
+    if f in g.identity or h in g.identity:
+        return "identity"
+    if f not in gens and h not in gens:
+        return "outside"
+    if any(a in gens and g.inverse[a] < a for a in (f, h)):
+        return "greater-inverse"
+    return "generator"
+
+
+def test_light_test_skips_identities_and_catches_every_changed_entry():
+    """Light's test runs on the generating set without its identities.
+    Each composite changed alone to a parallel arrow is reported as the
+    scan of all composable triples reports it: through the identity laws
+    when a factor is an identity, through the inverse laws on a∘a⁻¹,
+    and else by Light's test itself, also on pairs of arrows outside the
+    generating set."""
+    kinds = set()
+    for name in ("s3", "codiscrete-2-x-c3", "codiscrete-3-x-c2-shuffled"):
+        g = CORPUS[name]
+        gens = set(generators(g))
+        for broken in _every_single_entry_corruption(g):
+            (f, h), = [key for key, v in broken.compose.items()
+                       if g.compose[key] != v]
+            kind = _entry_kind(g, gens, f, h)
+            want = reference_validate(broken).violations
+            assert validate(broken).violations == want
+            laws = {v.kind for v in want}
+            if kind == "identity":
+                assert laws & {"identity-left", "identity-right"}
+            elif laws == {"associativity"}:
+                assert not _associative_on(broken, generators(broken))
+            else:  # a∘a⁻¹ changed: the triple scan runs instead
+                assert laws & {"inverse-left", "inverse-right"}
+            kinds.add(kind)
+    assert kinds == {"identity", "outside", "greater-inverse", "generator"}
 
 
 # -- the generating set ------------------------------------------------------

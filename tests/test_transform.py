@@ -4,10 +4,10 @@ import pytest
 
 from gpdcov import (CovGroup, FiniteGroup, GroupoidMorphism, TheoremViolation,
                     all_morphisms, compose_morphisms, cov_normalizer_iso,
-                    covering_transformations, fold, induced_f_sharp,
-                    is_isomorphic, is_regular, lift_morphism,
-                    principal_action_check, pushforward_vertex,
-                    universal_cover)
+                    covering_transformations, fold, generators,
+                    group_groupoid, induced_f_sharp, is_isomorphic,
+                    is_regular, lift_morphism, principal_action_check,
+                    pushforward_vertex, universal_cover)
 from gpdcov.groups import find_isomorphism
 
 from test_index import CORPUS
@@ -268,3 +268,37 @@ def test_cov_group_rejects_what_the_composing_loop_rejects(name):
         want = _outcome(lambda: reference_cov_table(bad, marked))
         assert got == want == ("covering transformations are not closed "
                                "under composition")
+
+
+GROUP_BASES = {"c4": group_groupoid(FiniteGroup.cyclic(4)),
+               "s3": CORPUS["s3"],
+               "loop-subgroupoid": CORPUS["loop-subgroupoid"]}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_BASES))
+def test_cov_group_rejects_a_transformation_moved_on_an_inverse_arrow(name):
+    """Closure is compared on the arrows a ≤ a⁻¹ of the total's generating
+    set, so never directly on the greater arrow of an inverse pair.  A
+    transformation moved on one such arrow alone (no longer a functor) is
+    still refused with the composing loop's message: over a group, every
+    arrow of the universal total is the image of a compared tree arrow
+    under some transformation, so the moved arrow is read through a
+    composite.  Over a base with several objects some arrows lie in no
+    such orbit, and CovGroup, whose inputs must be functors, can accept
+    such a move there."""
+    p = universal_cover(GROUP_BASES[name])
+    cov = covering_transformations(p)
+    total, ts = p.total, cov.transformations
+    skipped = [a for a in generators(total) if total.inverse[a] < a]
+    assert skipped
+    for k, t in enumerate(ts):
+        for c in skipped:
+            arr_map = list(t.arr_map)
+            arr_map[c] = total.inverse[arr_map[c]]
+            bad = list(ts)
+            bad[k] = GroupoidMorphism(total, total, t.obj_map, arr_map)
+            got = _outcome(lambda: CovGroup(p, bad, cov.base_object,
+                                            cov.marked))
+            want = _outcome(lambda: reference_cov_table(bad, cov.marked))
+            assert got == want == ("covering transformations are not "
+                                   "closed under composition")
