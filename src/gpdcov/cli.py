@@ -65,11 +65,12 @@ def _arr_index(g, name, flag):
     return labels.index(name)
 
 
-def _morphism_maps(m):
-    src_o = _labels(m.source.obj_labels)
-    dst_o = _labels(m.target.obj_labels)
-    src_a = _labels(m.source.arr_labels)
-    dst_a = _labels(m.target.arr_labels)
+def _morphism_maps(m, src=None, dst=None):
+    """The object and arrow maps of m by unique label; ``src`` and ``dst``
+    are the (object, arrow) labels of its source and target, computed
+    here when not given."""
+    src_o, src_a = src or docs._labels(m.source)
+    dst_o, dst_a = dst or docs._labels(m.target)
     return {
         "objects": {src_o[x]: dst_o[m.obj_map[x]]
                     for x in m.source.objects},
@@ -119,7 +120,7 @@ def cmd_vertex_group(args):
 
 
 def cmd_check_cover(args):
-    m = docs.load_morphism(args.morphism)
+    m = docs.load_morphism(args.morphism, args.resolved)
     out = check_covering(m)
     if not isinstance(out, Covering):
         labels = _labels(m.source.obj_labels)
@@ -138,7 +139,7 @@ def cmd_check_cover(args):
 
 
 def cmd_fiber(args):
-    cov = docs.load_covering(args.covering)
+    cov = docs.load_covering(args.covering, args.resolved)
     fb = fiber(cov, _obj_index(cov.base, args.object, "--object"))
     tot_o = _labels(cov.total.obj_labels)
     tot_a = _labels(cov.total.arr_labels)
@@ -149,7 +150,7 @@ def cmd_fiber(args):
 
 
 def cmd_lift_arrow(args):
-    cov = docs.load_covering(args.covering)
+    cov = docs.load_covering(args.covering, args.resolved)
     a = _arr_index(cov.base, args.arrow, "--arrow")
     at = _obj_index(cov.total, args.at, "--at")
     if cov.morphism.obj_map[at] != cov.base.cod[a]:
@@ -161,8 +162,8 @@ def cmd_lift_arrow(args):
 
 
 def cmd_lift_morphism(args):
-    cov = docs.load_covering(args.covering)
-    f = docs.load_morphism(args.morphism)
+    cov = docs.load_covering(args.covering, args.resolved)
+    f = docs.load_morphism(args.morphism, args.resolved)
     if f.target != cov.base:
         raise docs.DocumentError(
             "--morphism", "morphism target differs from the covering base")
@@ -178,12 +179,12 @@ def cmd_lift_morphism(args):
 
 
 def cmd_fold(args):
-    cov = docs.load_covering(args.covering)
+    cov = docs.load_covering(args.covering, args.resolved)
     return {"fold": fold(cov)}
 
 
 def cmd_monodromy(args):
-    cov = docs.load_covering(args.covering)
+    cov = docs.load_covering(args.covering, args.resolved)
     act = monodromy(cov, _obj_index(cov.base, args.object, "--object"))
     tot = _labels(cov.total.obj_labels)
     return {
@@ -231,26 +232,27 @@ def cmd_universal(args):
 
 
 def cmd_orbit(args):
-    orb = orbit_groupoid(docs.load_action(args.action))
+    orb = orbit_groupoid(docs.load_action(args.action, args.resolved))
     return docs.emit_covering(orb.covering)
 
 
 def cmd_cov_group(args):
-    cov = docs.load_covering(args.covering)
+    cov = docs.load_covering(args.covering, args.resolved)
     grp = covering_transformations(cov)
+    labels = docs._labels(cov.total)  # every transformation's both ends
     return {
         "order": grp.order,
         "elements": list(grp.group.names),
         "table": [[grp.group.names[grp.group.mult(i, j)]
                    for j in range(grp.order)] for i in range(grp.order)],
         "transformations": {
-            grp.group.names[i]: _morphism_maps(t)
+            grp.group.names[i]: _morphism_maps(t, labels, labels)
             for i, t in enumerate(grp.transformations)},
     }
 
 
 def cmd_regular(args):
-    cov = docs.load_covering(args.covering)
+    cov = docs.load_covering(args.covering, args.resolved)
     reg = is_regular(cov)
     if not reg:
         raise MathematicalNegative({"regular": False})
@@ -258,7 +260,7 @@ def cmd_regular(args):
 
 
 def cmd_normalizer_iso(args):
-    cov = docs.load_covering(args.covering)
+    cov = docs.load_covering(args.covering, args.resolved)
     at = (_obj_index(cov.total, args.object, "--object")
           if args.object is not None else cov.mark)
     ni = cov_normalizer_iso(cov, at)
@@ -274,8 +276,8 @@ def cmd_normalizer_iso(args):
 
 
 def cmd_equiv(args):
-    p = docs.load_covering(args.first)
-    q = docs.load_covering(args.second)
+    p = docs.load_covering(args.first, args.resolved)
+    q = docs.load_covering(args.second, args.resolved)
     pair = equivalent_coverings(p, q, fixed_base=args.fixed_base)
     if pair is None:
         raise MathematicalNegative({"equivalent": False})
@@ -285,8 +287,8 @@ def cmd_equiv(args):
 
 
 def cmd_pullback(args):
-    cov = docs.load_covering(args.covering)
-    f = docs.load_morphism(args.along)
+    cov = docs.load_covering(args.covering, args.resolved)
+    f = docs.load_morphism(args.along, args.resolved)
     if f.target != cov.base:
         raise docs.DocumentError(
             "--along", "morphism target differs from the covering base")
@@ -296,8 +298,8 @@ def cmd_pullback(args):
 
 
 def cmd_pushout(args):
-    p = docs.load_covering(args.first)
-    q = docs.load_covering(args.second)
+    p = docs.load_covering(args.first, args.resolved)
+    q = docs.load_covering(args.second, args.resolved)
     result = pushout_covering(p, q)
     return {"orbit_morphism": docs.emit_covering(result.orbit_covering),
             "leg_first": _morphism_maps(result.leg_first),
@@ -363,8 +365,8 @@ def cmd_omega(args):
 
 
 def cmd_char(args):
-    cov = docs.load_covering(args.covering)
-    s = docs.load_morphism(args.sub)
+    cov = docs.load_covering(args.covering, args.resolved)
+    s = docs.load_morphism(args.sub, args.resolved)
     if s.target != cov.total:
         raise docs.DocumentError(
             "--sub", "subobject must map into the covering's total "
@@ -379,7 +381,7 @@ def cmd_char(args):
 
 
 def cmd_subobjects(args):
-    cov = docs.load_covering(args.covering)
+    cov = docs.load_covering(args.covering, args.resolved)
     lattice = subobjects(cov)
     labels = _labels(cov.total.obj_labels)
     return {
@@ -391,16 +393,16 @@ def cmd_subobjects(args):
 
 
 def cmd_expo(args):
-    p = docs.load_covering(args.first)
-    q = docs.load_covering(args.second)
+    p = docs.load_covering(args.first, args.resolved)
+    q = docs.load_covering(args.second, args.resolved)
     ex = exponential(p, q)
     return docs.emit_covering(ex.covering)
 
 
 def cmd_adjunction(args):
-    r = docs.load_covering(args.first)
-    p = docs.load_covering(args.second)
-    q = docs.load_covering(args.third)
+    r = docs.load_covering(args.first, args.resolved)
+    p = docs.load_covering(args.second, args.resolved)
+    q = docs.load_covering(args.third, args.resolved)
     w = adjunction_check(r, p, q)
     return {"product_hom_count": len(w.lhs),
             "exponential_hom_count": len(w.rhs),
@@ -408,12 +410,12 @@ def cmd_adjunction(args):
 
 
 def cmd_to_presheaf(args):
-    cov = docs.load_covering(args.covering)
+    cov = docs.load_covering(args.covering, args.resolved)
     return docs.emit_presheaf(covering_to_presheaf(cov))
 
 
 def cmd_from_presheaf(args):
-    ps = docs.load_presheaf(args.presheaf)
+    ps = docs.load_presheaf(args.presheaf, args.resolved)
     return docs.emit_covering(presheaf_to_covering(ps))
 
 
@@ -533,6 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The groupoids of this command's documents by absolute path: a base
+    # file that several documents name is read and checked once.
+    args.resolved = {}
     try:
         result = args.fn(args)
     except MathematicalNegative as neg:

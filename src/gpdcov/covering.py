@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import TheoremViolation
@@ -349,10 +350,15 @@ def covering_of_lifts(base: FiniteGroupoid, over, arrows, obj_labels,
     the rest (Brown, *Topology and Groupoids*, ch. 10): the identity of c
     is the lift of id(over c) into c, the inverse of k is the lift of g⁻¹
     into d, and j∘k is the lift of g_j∘g into cod(j).  Composition walks
-    the arrows out of each codomain, so it costs O(compose).  The result
-    comes from :func:`verified_covering` with the given mark.
+    the arrows out of each codomain, so it costs O(compose).  The lifts
+    are first checked to be a right action of the base on the fibers (see
+    :func:`_action_fault`), so that the table is a groupoid's; the result
+    then comes from :func:`verified_covering` with the given mark.
     """
     lift = {(g, c): k for k, (g, _, c) in enumerate(arrows)}
+    fault = _action_fault(base, over, arrows, lift, obj_labels)
+    if fault:
+        raise TheoremViolation(f"{what} failed the covering check: {fault}")
     dom = tuple(d for _, d, _ in arrows)
     out_of = [[] for _ in over]
     for k, d in enumerate(dom):
@@ -371,6 +377,56 @@ def covering_of_lifts(base: FiniteGroupoid, over, arrows, obj_labels,
     return verified_covering(
         GroupoidMorphism(total, base, over, tuple(g for g, _, _ in arrows)),
         what, marked_object)
+
+
+def _action_fault(base, over, arrows, lift, labels):
+    """Why the lifts of :func:`covering_of_lifts` are not a right action
+    of the base on the fibers, or None.  With pull(g, c) the domain of the
+    lift of g into c, they are one when each base arrow g has one lift
+    into each object over cod g, from an object over dom g; identities fix
+    every object; each transport pull(g, ·) is injective, hence, with
+    g⁻¹'s, bijective; and pull(a∘x, c) = pull(x, pull(a, c)).  The a that
+    pass that law are closed under composition and inverses and hold the
+    identities, so it is checked on the part R of
+    :func:`~gpdcov.groupoid.generators` (every arrow when there is none).
+    Each transport is read once, as a list over the fiber, and the law is
+    one list comparison per a in R and x into dom a."""
+    cod, dom = base.cod, base.dom
+    unique = "the lifts are not one per base arrow into each object's image"
+    if len(lift) != len(arrows) or len(arrows) != sum(
+            len(base._into[y]) for y in over):
+        return unique
+    fibers, place = [[] for _ in base.objects], []  # c = fibers[y][place[c]]
+    for c, y in enumerate(over):
+        place.append(len(fibers[y]))
+        fibers[y].append(c)
+    pull = dict(zip(lift, map(itemgetter(1), arrows)))  # keys in order
+    try:  # each lift that must be there is; by the count, no other is
+        moves = [list(map(pull.__getitem__,
+                          zip(itertools.repeat(g), fibers[cod[g]])))
+                 for g in base.arrows]
+    except KeyError:
+        return unique
+    for g, m in enumerate(moves):  # then as places in fibers[dom g]
+        if not set(map(over.__getitem__, m)) <= {dom[g]}:
+            return unique
+        if len(set(m)) != len(m):
+            return f"the transport along {base.arr_labels[g]} is not injective"
+        moves[g] = list(map(place.__getitem__, m))
+    for y, e in enumerate(base.identity):
+        moved = [c for i, c in enumerate(fibers[y]) if moves[e][i] != i]
+        if moved:
+            return f"the identity does not fix {labels[moved[0]]}"
+    compose, inverse, identity = base.compose, base.inverse, base.identity
+    for a in generators(base) or base.arrows:
+        if inverse[a] < a or identity[dom[a]] == a:
+            continue
+        for x in base._into[dom[a]]:
+            if moves[compose[a, x]] != list(map(moves[x].__getitem__,
+                                                moves[a])):
+                return (f"the lifts of {base.arr_labels[a]}∘"
+                        f"{base.arr_labels[x]} are not those of its factors")
+    return None
 
 
 @dataclass(frozen=True)

@@ -83,35 +83,13 @@ def parse_groupoid(doc, path: str = "") -> FiniteGroupoid:
     if len(obj_index) != len(objects):
         raise DocumentError(f"{path}/objects", "object names must be "
                             "unique")
-    arrows = _need(doc, "arrows", path, list)
-    names, dom, cod = [], [], []
-    for i, arr in enumerate(arrows):
-        apath = f"{path}/arrows/{i}"
-        name = _name(_need(arr, "name", apath), f"{apath}/name", "arrow")
-        for key, out in (("dom", dom), ("cod", cod)):
-            val = str(_need(arr, key, apath))
-            if val not in obj_index:
-                raise DocumentError(f"{apath}/{key}",
-                                    f"unknown object {val!r}")
-            out.append(obj_index[val])
-        names.append(name)
+    names, dom, cod = _arrow_table(_need(doc, "arrows", path, list),
+                                   obj_index, path)
     if len(set(names)) != len(names):
         raise DocumentError(f"{path}/arrows", "arrow names must be unique")
     arr_index = {name: i for i, name in enumerate(names)}
-    compose = {}
-    for i, entry in enumerate(_need(doc, "compose", path, list)):
-        cpath = f"{path}/compose/{i}"
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise DocumentError(cpath, "expected [f, h, fh]")
-        ids = []
-        for name in entry:
-            if str(name) not in arr_index:
-                raise DocumentError(cpath, f"unknown arrow {name!r}")
-            ids.append(arr_index[str(name)])
-        f, h, fh = ids
-        if (f, h) in compose and compose[(f, h)] != fh:
-            raise DocumentError(cpath, "conflicting composition entries")
-        compose[(f, h)] = fh
+    compose = _compose_table(_need(doc, "compose", path, list), arr_index,
+                             path)
     identity = _derive_identities(len(objects), dom, cod, compose, path)
     if "inverse" in doc:
         inv_doc = _need(doc, "inverse", path, dict)
@@ -136,6 +114,66 @@ def parse_groupoid(doc, path: str = "") -> FiniteGroupoid:
         raise DocumentError(path or "/",
                             f"not a groupoid: {first.message}")
     return g
+
+
+def _arrow_table(arrows, obj_index, path):
+    """The names and the dom and cod ids of an arrow list.  When every
+    entry is an object whose name is a str and whose ends are known
+    object names, three comprehensions read it; else the per-entry loop
+    reads it, and names the first offender."""
+    if set(map(type, arrows)) == {dict}:
+        try:
+            names = [arr["name"] for arr in arrows]
+            dom = [obj_index[arr["dom"]] for arr in arrows]
+            cod = [obj_index[arr["cod"]] for arr in arrows]
+        except (KeyError, TypeError):
+            names = None
+        if names is not None and set(map(type, names)) == {str}:
+            return names, dom, cod
+    names, dom, cod = [], [], []
+    for i, arr in enumerate(arrows):
+        apath = f"{path}/arrows/{i}"
+        name = _name(_need(arr, "name", apath), f"{apath}/name", "arrow")
+        for key, out in (("dom", dom), ("cod", cod)):
+            val = str(_need(arr, key, apath))
+            if val not in obj_index:
+                raise DocumentError(f"{apath}/{key}",
+                                    f"unknown object {val!r}")
+            out.append(obj_index[val])
+        names.append(name)
+    return names, dom, cod
+
+
+def _compose_table(rows, arr_index, path) -> dict:
+    """The composition table of the compose rows, keyed by id pairs.
+    When every row is a list of three known str names, one comprehension
+    reads them; fewer entries than rows means a repeated pair.  In that
+    case and on any other row the per-row loop reads them, and names the
+    first offender.  (The list check keeps a three-character string or a
+    three-key object from unpacking as three names.)"""
+    if set(map(type, rows)) == {list}:
+        try:
+            compose = {(arr_index[f], arr_index[h]): arr_index[fh]
+                       for f, h, fh in rows}
+        except (KeyError, TypeError, ValueError):
+            compose = None
+        if compose is not None and len(compose) == len(rows):
+            return compose
+    compose = {}
+    for i, entry in enumerate(rows):
+        cpath = f"{path}/compose/{i}"
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise DocumentError(cpath, "expected [f, h, fh]")
+        ids = []
+        for name in entry:
+            if str(name) not in arr_index:
+                raise DocumentError(cpath, f"unknown arrow {name!r}")
+            ids.append(arr_index[str(name)])
+        f, h, fh = ids
+        if (f, h) in compose and compose[(f, h)] != fh:
+            raise DocumentError(cpath, "conflicting composition entries")
+        compose[(f, h)] = fh
+    return compose
 
 
 def _parse_group(doc, path) -> FiniteGroup:
@@ -195,18 +233,17 @@ def _derive_identities(n_objects, dom, cod, compose, path):
 
 
 def _derive_inverses(dom, cod, identity, compose, names, path):
-    inverse = []
-    for a in range(len(dom)):
-        inv_a = None
-        for b in range(len(dom)):
-            if compose.get((a, b)) == identity[cod[a]] \
-                    and compose.get((b, a)) == identity[dom[a]]:
-                inv_a = b
-                break
-        if inv_a is None:
-            raise DocumentError(path or "/",
-                                f"arrow {names[a]!r} has no inverse")
-        inverse.append(inv_a)
+    """The inverse of each arrow a: the least b with a∘b = id(cod a) and
+    b∘a = id(dom a), from one pass over the entries whose value is an
+    identity."""
+    inverse = [None] * len(dom)
+    for (a, b), v in compose.items():
+        if v == identity[cod[a]] and compose.get((b, a)) == identity[dom[a]] \
+                and (inverse[a] is None or b < inverse[a]):
+            inverse[a] = b
+    if None in inverse:
+        raise DocumentError(path or "/", f"arrow "
+                            f"{names[inverse.index(None)]!r} has no inverse")
     return inverse
 
 
@@ -255,63 +292,76 @@ def _unique_labels(labels):
     return out
 
 
-def _resolve(doc, key, path, base_dir):
+def _resolve(doc, key, path, base_dir, resolved=None):
+    """The groupoid at ``doc[key]``: inline, or in a file relative to
+    ``base_dir``.  ``resolved``, when given, keeps each file's groupoid by
+    absolute path, so that the documents of one command share it; only a
+    groupoid that parsed is kept."""
     val = _need(doc, key, path)
-    if isinstance(val, str):
-        fname = val if os.path.isabs(val) else os.path.join(base_dir, val)
-        try:
-            with open(fname, "r", encoding="utf-8") as fh:
-                sub = json.load(fh)
-        except OSError as exc:
-            raise DocumentError(f"{path}/{key}",
-                                f"cannot read {val!r}: {exc}") from None
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DocumentError(f"{path}/{key}",
-                                f"invalid JSON in {val!r}: {exc}") from None
-        return parse_groupoid(sub, f"{path}/{key}")
-    return parse_groupoid(val, f"{path}/{key}")
+    if not isinstance(val, str):
+        return parse_groupoid(val, f"{path}/{key}")
+    fname = os.path.join(base_dir, val)  # val itself when absolute
+    key_path = os.path.abspath(fname)
+    if resolved is not None and key_path in resolved:
+        return resolved[key_path]
+    try:
+        with open(fname, "r", encoding="utf-8") as fh:
+            sub = json.load(fh)
+    except OSError as exc:
+        raise DocumentError(f"{path}/{key}",
+                            f"cannot read {val!r}: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DocumentError(f"{path}/{key}",
+                            f"invalid JSON in {val!r}: {exc}") from None
+    g = parse_groupoid(sub, f"{path}/{key}")
+    if resolved is not None:
+        resolved[key_path] = g
+    return g
 
 
-def parse_morphism(doc, base_dir: str = ".",
-                   path: str = "") -> GroupoidMorphism:
-    source = _resolve(doc, "source", path, base_dir)
-    target = _resolve(doc, "target", path, base_dir)
+def parse_morphism(doc, base_dir: str = ".", path: str = "",
+                   resolved=None) -> GroupoidMorphism:
+    source = _resolve(doc, "source", path, base_dir, resolved)
+    target = _resolve(doc, "target", path, base_dir, resolved)
     obj_doc = _need(doc, "objects", path, dict)
     arr_doc = _need(doc, "arrows", path, dict)
-    src_obj, src_arr = _index(source)
-    dst_obj, dst_arr = _index(target)
-    obj_map = [None] * source.n_objects
-    for name, img in obj_doc.items():
-        if str(name) not in src_obj:
-            raise DocumentError(f"{path}/objects",
-                                f"unknown source object {name!r}")
-        if str(img) not in dst_obj:
-            raise DocumentError(f"{path}/objects/{name}",
-                                f"unknown target object {img!r}")
-        obj_map[src_obj[str(name)]] = dst_obj[str(img)]
-    if any(v is None for v in obj_map):
-        missing = source.obj_labels[obj_map.index(None)]
-        raise DocumentError(f"{path}/objects",
-                            f"missing image of object {missing!r}")
-    arr_map = [None] * source.n_arrows
-    for name, img in arr_doc.items():
-        if str(name) not in src_arr:
-            raise DocumentError(f"{path}/arrows",
-                                f"unknown source arrow {name!r}")
-        if str(img) not in dst_arr:
-            raise DocumentError(f"{path}/arrows/{name}",
-                                f"unknown target arrow {img!r}")
-        arr_map[src_arr[str(name)]] = dst_arr[str(img)]
-    if any(v is None for v in arr_map):
-        missing = source.arr_labels[arr_map.index(None)]
-        raise DocumentError(f"{path}/arrows",
-                            f"missing image of arrow {missing!r}")
-    m = GroupoidMorphism(source, target, obj_map, arr_map)
+    (src_obj, src_arr), (dst_obj, dst_arr) = _index(source), _index(target)
+    m = GroupoidMorphism(
+        source, target,
+        _map_ids(obj_doc, src_obj, dst_obj, source.obj_labels,
+                 f"{path}/objects", "object"),
+        _map_ids(arr_doc, src_arr, dst_arr, source.arr_labels,
+                 f"{path}/arrows", "arrow"))
     bad = m.functoriality_violations()
     if bad:
         raise DocumentError(path or "/",
                             f"morphism is not functorial: {bad[0]}")
     return m
+
+
+def _map_ids(doc, src, dst, labels, path, what) -> list:
+    """The target id of each source id under a name-to-name map document,
+    with ``src`` and ``dst`` the ids by unique label and ``labels`` the
+    source labels.  When every name is a known str and every source id has
+    an image, one comprehension reads the map; else the per-entry loop
+    reads it, and names the first offender."""
+    try:
+        image = {src[name]: dst[img] for name, img in doc.items()}
+        return [image[i] for i in range(len(labels))]
+    except (KeyError, TypeError):
+        pass
+    ids = [None] * len(labels)
+    for name, img in doc.items():
+        if str(name) not in src:
+            raise DocumentError(path, f"unknown source {what} {name!r}")
+        if str(img) not in dst:
+            raise DocumentError(f"{path}/{name}",
+                                f"unknown target {what} {img!r}")
+        ids[src[str(name)]] = dst[str(img)]
+    if None in ids:
+        raise DocumentError(path, f"missing image of {what} "
+                            f"{labels[ids.index(None)]!r}")
+    return ids
 
 
 def emit_morphism(m: GroupoidMorphism, marked=None) -> dict:
@@ -334,8 +384,8 @@ def emit_covering(cov: Covering) -> dict:
     return emit_morphism(cov.morphism, cov.marked_object)
 
 
-def parse_action(doc, base_dir: str = ".", path: str = ""):
-    space = _resolve(doc, "space", path, base_dir)
+def parse_action(doc, base_dir: str = ".", path: str = "", resolved=None):
+    space = _resolve(doc, "space", path, base_dir, resolved)
     group = _parse_group(doc, path)
     maps = _need(doc, "maps", path, dict)
     sp_obj, sp_arr = _index(space)
@@ -372,8 +422,9 @@ def parse_action(doc, base_dir: str = ".", path: str = ""):
         raise DocumentError(path or "/", str(exc)) from None
 
 
-def parse_presheaf(doc, base_dir: str = ".", path: str = "") -> Presheaf:
-    base = _resolve(doc, "base", path, base_dir)
+def parse_presheaf(doc, base_dir: str = ".", path: str = "",
+                   resolved=None) -> Presheaf:
+    base = _resolve(doc, "base", path, base_dir, resolved)
     sets_doc = _need(doc, "sets", path, dict)
     maps_doc = _need(doc, "maps", path, dict)
     obj_index, arr_index = _index(base)
@@ -428,17 +479,17 @@ def load_groupoid(fname: str) -> FiniteGroupoid:
     return parse_groupoid(_read(fname)[0])
 
 
-def load_morphism(fname: str) -> GroupoidMorphism:
+def load_morphism(fname: str, resolved=None) -> GroupoidMorphism:
     doc, base_dir = _read(fname)
-    return parse_morphism(doc, base_dir=base_dir)
+    return parse_morphism(doc, base_dir, resolved=resolved)
 
 
-def load_covering(fname: str) -> Covering:
+def load_covering(fname: str, resolved=None) -> Covering:
     """A morphism document that must be a covering, marked at its optional
     ``marked_object``.  :func:`parse_morphism` has checked functoriality,
     so only the star maps are checked here."""
     doc, base_dir = _read(fname)
-    m = parse_morphism(doc, base_dir=base_dir)
+    m = parse_morphism(doc, base_dir, resolved=resolved)
     marked = doc.get("marked_object")
     if marked is not None:
         labels = _unique_labels(m.source.obj_labels)
@@ -452,14 +503,14 @@ def load_covering(fname: str) -> Covering:
     return out
 
 
-def load_action(fname: str):
+def load_action(fname: str, resolved=None):
     doc, base_dir = _read(fname)
-    return parse_action(doc, base_dir=base_dir)
+    return parse_action(doc, base_dir, resolved=resolved)
 
 
-def load_presheaf(fname: str) -> Presheaf:
+def load_presheaf(fname: str, resolved=None) -> Presheaf:
     doc, base_dir = _read(fname)
-    return parse_presheaf(doc, base_dir=base_dir)
+    return parse_presheaf(doc, base_dir, resolved=resolved)
 
 
 def dumps(doc) -> str:

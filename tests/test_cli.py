@@ -469,3 +469,70 @@ def test_fuzzed_documents_keep_the_exit_code_contract(capsys, tmp_path,
             runs += 1
     capsys.readouterr()
     assert runs > 400
+
+
+# -- one read of each base file per command -----------------------------------
+
+def _covers_on_one_base(capsys, tmp_path, base_doc):
+    """Two covering documents of C4 whose targets name one base file."""
+    (tmp_path / "base.json").write_text(json.dumps(base_doc))
+    paths = []
+    for name, subgroup in (("p.json", "2"), ("q.json", "")):
+        code, doc = run_json(capsys, "build-cover", FIXTURES / "c4.json",
+                             "--subgroup", subgroup)
+        assert code == 0
+        doc["target"] = "base.json"
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    return paths
+
+
+def test_topos_commands_parse_a_shared_base_once(capsys, tmp_path,
+                                                 monkeypatch):
+    """expo and adjunction parse each covering's inline total and the
+    base file they share once; the next command parses it afresh, and the
+    commands see one base groupoid."""
+    p, q = _covers_on_one_base(capsys, tmp_path, FIXTURES_C4_DOC())
+    parsed, shared = [], []
+    parse = cli.docs.parse_groupoid
+    monkeypatch.setattr(cli.docs, "parse_groupoid", lambda doc, path="":
+                        parsed.append(path) or parse(doc, path))
+    exponential = cli.exponential
+    monkeypatch.setattr(cli, "exponential", lambda a, b: shared.append(
+        a.base is b.base) or exponential(a, b))
+    for argv, want in ((("expo", p, q), ["/source", "/target", "/source"]),
+                       (("adjunction", q, p, q),
+                        ["/source", "/target", "/source", "/source"]),
+                       (("expo", q, q), ["/source", "/target", "/source"])):
+        del parsed[:]
+        assert run(capsys, *argv)[0] == 0
+        assert parsed == want
+    assert shared and all(shared)
+
+
+def test_a_shared_base_keeps_the_first_failing_document(capsys, tmp_path):
+    """A base file that fails is reported at the first document that
+    names it, as a command of that document alone reports it."""
+    doc = FIXTURES_C4_DOC()
+    doc["group_table"][1][1] = doc["group_table"][1][0]  # not a group
+    p, q = _covers_on_one_base(capsys, tmp_path, doc)
+    code, _, err = run_err(capsys, "fold", q)
+    assert code == 2 and err.startswith("error: /target")
+    for argv in (("expo", q, p), ("adjunction", q, p, p)):
+        assert run_err(capsys, *argv) == (2, "", err)
+
+
+def test_cov_group_labels_the_total_once(capsys, monkeypatch):
+    """cov-group computes the total's unique labels once, not once per
+    covering transformation."""
+    calls = []
+    unique = cli.docs._unique_labels
+    monkeypatch.setattr(cli.docs, "_unique_labels", lambda labels:
+                        calls.append(len(labels)) or unique(labels))
+    counts = []
+    for name in ("universal-c4.out", "universal-s3.out"):
+        del calls[:]
+        code, doc = run_json(capsys, "cov-group", GOLDEN / name)
+        assert code == 0 and doc["order"] in (4, 6)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

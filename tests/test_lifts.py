@@ -12,6 +12,8 @@ filtering the full enumeration, ``reference_morphisms_over``.
 """
 
 import itertools
+import re
+from pathlib import Path
 
 import networkx
 import pytest
@@ -26,17 +28,19 @@ from gpdcov import (Covering, FiniteGroup, FiniteGroupoid, GroupoidMorphism,
                     universal_cover, vertex_group)
 from gpdcov import covering as covering_module
 from gpdcov.classify import PullbackCovering
+from gpdcov.documents import load_groupoid
 from gpdcov.covering import (_iso_over, _seeded_lift, components,
                              compose_morphisms, covering_of_lifts,
                              factor_through, find_covering_isomorphism,
                              glue_morphism, groupoid_isomorphisms,
                              lift_morphism)
-from gpdcov.groupoid import relabeled
+from gpdcov.groupoid import relabeled, validate
 from gpdcov.selftest import _lift_triples
 from gpdcov.topos import ExponentialCovering, Omega, presheaf_to_covering
 
 from test_index import CORPUS
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # -- the hand-built constructions, verbatim ----------------------------------
 
@@ -544,6 +548,109 @@ def test_covering_of_lifts_names_the_construction():
         covering_of_lifts(g, (0, 0), arrows, ("a", "b"),
                           [str(k) for k in range(len(arrows))],
                           "test lifts")
+
+
+def reference_lift_table(base, over, arrows, obj_labels, arr_labels):
+    """The projection that ``covering_of_lifts`` built before it checked
+    that the lifts are an action, unverified."""
+    lift = {(g, c): k for k, (g, _, c) in enumerate(arrows)}
+    dom = tuple(d for _, d, _ in arrows)
+    out_of = [[] for _ in over]
+    for k, d in enumerate(dom):
+        out_of[d].append(k)
+    compose = {}
+    for k, (g, _, c) in enumerate(arrows):
+        for j in out_of[c]:
+            gj, _, e = arrows[j]
+            compose[(j, k)] = lift[(base.compose[(gj, g)], e)]
+    total = FiniteGroupoid(
+        len(over), dom, tuple(c for _, _, c in arrows),
+        tuple(lift[(base.identity[x], i)] for i, x in enumerate(over)),
+        compose,
+        tuple(lift[(base.inverse[g], d)] for g, d, _ in arrows),
+        obj_labels=obj_labels, arr_labels=arr_labels)
+    return GroupoidMorphism(total, base, over, tuple(g for g, _, _ in arrows))
+
+
+def test_covering_of_lifts_refuses_lifts_that_are_no_action():
+    """Fold-2 lifts over the S3 fixture that swap the two points along a
+    set S of arrows.  They are an action exactly when S is the kernel's
+    complement of a homomorphism to C2: for S empty and for the odd
+    permutations.  Every other S used to give a covering whose total is
+    not a groupoid, as swapping along one non-identity arrow shows; now
+    each is refused, and the two actions give the table of before."""
+    base = load_groupoid(str(FIXTURES / "s3.json"))
+    labels = [str(k) for k in range(2 * base.n_arrows)]
+    actions = []
+    for swapped in itertools.product((0, 1), repeat=base.n_arrows):
+        arrows = [(g, c ^ swapped[g], c) for g in base.arrows
+                  for c in (0, 1)]
+        args = (base, (0, 0), arrows, ("p", "q"), labels)
+        before = reference_lift_table(*args)
+        if not validate(before.source).ok:
+            with pytest.raises(TheoremViolation, match="^swap lifts failed "
+                                                       "the covering check"):
+                covering_of_lifts(*args, "swap lifts")
+            continue
+        assert isinstance(check_covering(before), Covering)
+        assert covering_of_lifts(*args, "swap lifts").morphism == before
+        actions.append(swapped)
+    vg = vertex_group(base, 0)  # arrow ids are element ids here
+    sign = tuple(int(vg.element_order(g) == 2) for g in base.arrows)
+    assert actions == [(0,) * base.n_arrows, sign]
+    one = base.arrows[1]  # not the identity
+    broken = reference_lift_table(
+        base, (0, 0), [(g, c ^ (g == one), c) for g in base.arrows
+                       for c in (0, 1)], ("p", "q"), labels)
+    assert "compose-endpoints" in {
+        v.kind for v in validate(broken.source).violations}
+
+
+def _fold_two(pull):
+    """Fold-2 lift triples over the six arrows of S3: the lift of g into
+    c starts at pull(g, c)."""
+    return [(g, pull(g, c), c) for g in range(6) for c in (0, 1)]
+
+
+#: i2's arrows are id_x, id_y, f: x -> y and g: y -> x; p lies over x
+#: and q over y, and the lifts of the identity covering are these.
+I2_LIFTS = [(0, 0, 0), (1, 1, 1), (2, 0, 1), (3, 1, 0)]
+ONE_PER_ARROW = "not one per base arrow into each object's image"
+
+
+@pytest.mark.parametrize("fixture, arrows, fault", [
+    ("s3", _fold_two(lambda g, c: c)[1:], ONE_PER_ARROW),
+    ("s3", _fold_two(lambda g, c: 1 - c), "identity does not fix p"),
+    ("s3", _fold_two(lambda g, c: c if g == 0 else 0),
+     "transport along (23) is not injective"),
+    ("s3", _fold_two(lambda g, c: c ^ (g == 1)),
+     "lifts of (23)∘(12) are not those of its factors"),
+    ("i2", I2_LIFTS[:2] + [(2, 1, 1), (3, 1, 0)], ONE_PER_ARROW),
+    ("i2", I2_LIFTS[:2] + [(2, 0, 0), (3, 1, 0)], ONE_PER_ARROW),
+])
+def test_covering_of_lifts_names_each_action_fault(fixture, arrows, fault):
+    base = load_groupoid(str(FIXTURES / f"{fixture}.json"))
+    over = (0, 0) if fixture == "s3" else (0, 1)
+    with pytest.raises(TheoremViolation, match="^lifts failed the "
+                       f"covering check: .*{re.escape(fault)}$"):
+        covering_of_lifts(base, over, arrows, ("p", "q"),
+                          [str(k) for k in range(len(arrows))], "lifts")
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_every_covering_of_the_corpus_is_an_action(name):
+    """The lifts of each covering the corpus builds, including the ones
+    not built from lifts, pass the action check."""
+    covers = small_covers(name)
+    covers += [exponential(p, q).covering for p in covers[:2]
+               for q in covers[:2]]
+    for cov in covers:
+        m = cov.morphism
+        arrows = [(m.arr_map[k], m.source.dom[k], m.source.cod[k])
+                  for k in m.source.arrows]
+        lift = {(g, c): k for k, (g, _, c) in enumerate(arrows)}
+        assert covering_module._action_fault(
+            cov.base, m.obj_map, arrows, lift, m.source.obj_labels) is None
 
 
 def test_factor_through_recovers_the_quotient_map():
