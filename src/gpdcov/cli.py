@@ -22,8 +22,8 @@ import functools
 import sys
 
 from . import documents as docs
-from .covering import (check_covering, Covering, equivalent_coverings,
-                       fiber, fold, is_connected, lift_arrow, lift_morphism,
+from .covering import (Covering, _star_check, equivalent_coverings, fiber,
+                       fold, is_connected, lift_arrow, lift_morphism,
                        monodromy)
 from .classify import (build_lattice, pullback_covering, pushout_covering)
 from .construct import (covering_from_subgroup, orbit_groupoid,
@@ -65,34 +65,17 @@ def _arr_index(g, name, flag):
     return labels.index(name)
 
 
-def _morphism_maps(m, src=None, dst=None):
-    """The object and arrow maps of m by unique label; ``src`` and ``dst``
-    are the (object, arrow) labels of its source and target, computed
-    here when not given."""
-    src_o, src_a = src or docs._labels(m.source)
-    dst_o, dst_a = dst or docs._labels(m.target)
-    return {
-        "objects": {src_o[x]: dst_o[m.obj_map[x]]
-                    for x in m.source.objects},
-        "arrows": {src_a[a]: dst_a[m.arr_map[a]]
-                   for a in m.source.arrows},
-    }
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 def cmd_validate(args):
     g = docs.load_groupoid(args.groupoid)
     report = validate(g)
-    payload = {
+    return {
         "valid": report.ok,
         "violations": [{"kind": v.kind, "ids": list(v.ids),
                         "message": v.message}
                        for v in report.violations],
     }
-    if not report.ok:
-        raise MathematicalNegative(payload)
-    return payload
 
 
 def cmd_star(args):
@@ -121,7 +104,7 @@ def cmd_vertex_group(args):
 
 def cmd_check_cover(args):
     m = docs.load_morphism(args.morphism, args.resolved)
-    out = check_covering(m)
+    out = _star_check(m)  # load_morphism has checked functoriality
     if not isinstance(out, Covering):
         labels = _labels(m.source.obj_labels)
         raise MathematicalNegative({
@@ -175,7 +158,7 @@ def cmd_lift_morphism(args):
             "lift": None,
             "reason": "loop images do not land in the pushforward "
                       "vertex group at the seed"})
-    return {"lift": _morphism_maps(lifted)}
+    return {"lift": docs.morphism_maps(lifted)}
 
 
 def cmd_fold(args):
@@ -246,7 +229,7 @@ def cmd_cov_group(args):
         "table": [[grp.group.names[grp.group.mult(i, j)]
                    for j in range(grp.order)] for i in range(grp.order)],
         "transformations": {
-            grp.group.names[i]: _morphism_maps(t, labels, labels)
+            grp.group.names[i]: docs.morphism_maps(t, labels, labels)
             for i, t in enumerate(grp.transformations)},
     }
 
@@ -282,8 +265,8 @@ def cmd_equiv(args):
     if pair is None:
         raise MathematicalNegative({"equivalent": False})
     return {"equivalent": True,
-            "phi": _morphism_maps(pair.phi),
-            "psi": _morphism_maps(pair.psi)}
+            "phi": docs.morphism_maps(pair.phi),
+            "psi": docs.morphism_maps(pair.psi)}
 
 
 def cmd_pullback(args):
@@ -294,7 +277,7 @@ def cmd_pullback(args):
             "--along", "morphism target differs from the covering base")
     pb = pullback_covering(cov, f)
     return {"covering": docs.emit_covering(pb.covering),
-            "to_total": _morphism_maps(pb.to_total)}
+            "to_total": docs.morphism_maps(pb.to_total)}
 
 
 def cmd_pushout(args):
@@ -302,8 +285,8 @@ def cmd_pushout(args):
     q = docs.load_covering(args.second, args.resolved)
     result = pushout_covering(p, q)
     return {"orbit_morphism": docs.emit_covering(result.orbit_covering),
-            "leg_first": _morphism_maps(result.leg_first),
-            "leg_second": _morphism_maps(result.leg_second)}
+            "leg_first": docs.morphism_maps(result.leg_first),
+            "leg_second": docs.morphism_maps(result.leg_second)}
 
 
 def _lattice_payload(lat):
@@ -377,7 +360,7 @@ def cmd_char(args):
         raise TheoremViolation("characteristic morphism does not form a "
                                "pullback")
     return {"classifier": docs.emit_covering(om.covering),
-            "phi": _morphism_maps(phi)}
+            "phi": docs.morphism_maps(phi)}
 
 
 def cmd_subobjects(args):

@@ -5,9 +5,9 @@ group π(G, G0) as the pushforward loop group of a covering.  Total objects
 are the cosets ``aΓ = {a∘γ}`` of arrows a leaving G0; there is one arrow
 ``(aΓ -> bΓ, g)`` for every base arrow g with g∘a ∈ bΓ, projecting to g.
 Those arrows are the lifts handed to
-:func:`gpdcov.covering.covering_of_lifts`, which derives identities,
-inverses and composition by unique lifting and re-verifies the covering
-property; the pushforward is re-verified too — never assumed.
+:func:`gpdcov.covering.covering_of_lifts`, which checks that they are an
+action and derives identities, inverses and composition by unique
+lifting; ``gpdcov selftest`` checks that the pushforward is Γ.
 
 Every quotient is built by :func:`quotient_covering` from partitions of a
 groupoid's objects and arrows: blocks become ids, and two arrow blocks

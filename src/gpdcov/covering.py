@@ -9,9 +9,11 @@ table lookup.
 A :class:`Covering` is read-only.  It takes its marked object at
 construction and also keeps ``mark`` (the marked object, or 0 when none is
 set) and ``fibers[y]`` (the total objects over base object y, ascending).
-:func:`verified_covering` is the one checked constructor for coverings the
-library builds itself: it runs :func:`check_covering` and turns any failure
-into a :class:`TheoremViolation` naming the construction.
+A covering the library builds is checked once, by one of two
+constructors: :func:`covering_of_lifts` for one given by its lifts, and
+:func:`verified_covering`, which runs :func:`check_covering`, for one
+given as a morphism (quotients, composites, induced maps).  Both raise a
+:class:`TheoremViolation` naming the construction.
 
 Conventions (fixed package-wide, see :mod:`gpdcov.groupoid`): stars collect
 arrows INTO an object, compose(f, h) applies h first, and the monodromy of
@@ -220,7 +222,8 @@ class Covering:
     into x, as a read-only mapping.  ``marked_object`` is the marked total
     object or None, ``mark`` the marked object or 0, and ``fibers[y]`` the
     total objects over base object y in ascending order.  Read-only; use
-    :func:`check_covering` or :func:`verified_covering` to build one.
+    :func:`check_covering`, :func:`verified_covering` or
+    :func:`covering_of_lifts` to build one.
     """
 
     __slots__ = ("morphism", "witnesses", "marked_object", "mark", "fibers")
@@ -342,7 +345,7 @@ def verified_covering(f: GroupoidMorphism, what: str,
 def covering_of_lifts(base: FiniteGroupoid, over, arrows, obj_labels,
                       arr_labels, what: str,
                       marked_object=None) -> Covering:
-    """The covering total -> base given by its lifts, verified.
+    """The covering total -> base given by its lifts, checked once.
 
     ``over[i]`` is the base object under total object i, and
     ``arrows[k] = (g, d, c)`` makes total arrow k a lift of the base arrow
@@ -352,8 +355,9 @@ def covering_of_lifts(base: FiniteGroupoid, over, arrows, obj_labels,
     into d, and j∘k is the lift of g_j∘g into cod(j).  Composition walks
     the arrows out of each codomain, so it costs O(compose).  The lifts
     are first checked to be a right action of the base on the fibers (see
-    :func:`_action_fault`), so that the table is a groupoid's; the result
-    then comes from :func:`verified_covering` with the given mark.
+    :func:`_action_fault`).  That is the star check and, as the tables
+    are lifts of the base's, the functor check: the lifts become the
+    witnesses, with no second check.
     """
     lift = {(g, c): k for k, (g, _, c) in enumerate(arrows)}
     fault = _action_fault(base, over, arrows, lift, obj_labels)
@@ -374,9 +378,12 @@ def covering_of_lifts(base: FiniteGroupoid, over, arrows, obj_labels,
         compose,
         tuple(lift[(base.inverse[g], d)] for g, d, _ in arrows),
         obj_labels=obj_labels, arr_labels=arr_labels)
-    return verified_covering(
+    witnesses = [{} for _ in over]  # ascending arrow ids, as _star_check
+    for (g, c), k in lift.items():
+        witnesses[c][g] = k
+    return Covering(
         GroupoidMorphism(total, base, over, tuple(g for g, _, _ in arrows)),
-        what, marked_object)
+        witnesses, marked_object)
 
 
 def _action_fault(base, over, arrows, lift, labels):
@@ -483,12 +490,8 @@ def fiber_transport(p: Covering, f_arrow: int) -> FiberTransport:
     dst = fiber(p, base.dom[f_arrow])
     total = p.total
     obj_map = {x: total.dom[p.lift(f_arrow, x)] for x in src.objects}
-    arr_map = {}
-    for s in src.arrows:
-        a1 = p.lift(f_arrow, total.dom[s])
-        a2 = p.lift(f_arrow, total.cod[s])
-        arr_map[s] = total.compose_arrows(
-            total.compose_arrows(total.inverse[a2], s), a1)
+    # a fiber holds only identities, and a⁻¹∘id(cod a)∘a = id(dom a)
+    arr_map = {s: total.identity[obj_map[total.dom[s]]] for s in src.arrows}
     return FiberTransport(along=f_arrow, source=src, target=dst,
                           obj_map=obj_map, arr_map=arr_map)
 
@@ -568,15 +571,19 @@ def lift_morphism(p: Covering, f: GroupoidMorphism, f0: int,
         raise ValueError("seed does not lie over the image of the source "
                          "object")
     piece = _seeded_lift(p, f, f0, seed)
-    if piece is None:
-        return None
-    lifted = glue_morphism(f.source, p.total, [piece])
-    if not lifted.is_functorial():
-        raise TheoremViolation("propagated lift is not functorial")
-    if compose_morphisms(p.morphism, lifted) != f:
-        raise TheoremViolation("propagated lift does not cover the "
-                               "requested morphism")
-    return lifted
+    return None if piece is None else _glued_lift(p, f, [piece])
+
+
+def _glued_lift(p: Covering, f: GroupoidMorphism, pieces) -> GroupoidMorphism:
+    """The lift of f through p glued from ``pieces``; one that is not
+    functorial or does not lie over f raises :class:`TheoremViolation`."""
+    g = glue_morphism(f.source, p.total, pieces)
+    if not g.is_functorial():
+        raise TheoremViolation("glued lift is not functorial")
+    if compose_morphisms(p.morphism, g) != f:
+        raise TheoremViolation("glued lift does not cover the requested "
+                               "morphism")
+    return g
 
 
 class MonodromyAction:
@@ -898,10 +905,5 @@ def _iso_over(f: GroupoidMorphism, q: Covering):
     combo = backtrack(0, frozenset(), [])
     if combo is None:
         return None
-    g = glue_morphism(src, total, combo)
-    if not g.is_functorial():
-        raise TheoremViolation("glued lift is not functorial")
-    if compose_morphisms(q.morphism, g) != f:
-        raise TheoremViolation("glued lift does not cover the requested "
-                               "morphism")
+    g = _glued_lift(q, f, combo)
     return g if g.is_bijective() else None

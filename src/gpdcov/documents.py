@@ -364,17 +364,22 @@ def _map_ids(doc, src, dst, labels, path, what) -> list:
     return ids
 
 
+def morphism_maps(m: GroupoidMorphism, src=None, dst=None) -> dict:
+    """The object and arrow maps of m by unique label; ``src`` and ``dst``
+    are the (object, arrow) labels of its source and target, computed
+    here when not given."""
+    src_o, src_a = src or _labels(m.source)
+    dst_o, dst_a = dst or _labels(m.target)
+    return {"objects": {src_o[x]: dst_o[y] for x, y in enumerate(m.obj_map)},
+            "arrows": {src_a[a]: dst_a[b] for a, b in enumerate(m.arr_map)}}
+
+
 def emit_morphism(m: GroupoidMorphism, marked=None) -> dict:
     """The document of m, marked at source object ``marked`` if given."""
     src, dst = _labels(m.source), _labels(m.target)
-    doc = {
-        "source": emit_groupoid(m.source, src),
-        "target": emit_groupoid(m.target, dst),
-        "objects": {src[0][x]: dst[0][m.obj_map[x]]
-                    for x in m.source.objects},
-        "arrows": {src[1][a]: dst[1][m.arr_map[a]]
-                   for a in m.source.arrows},
-    }
+    doc = {"source": emit_groupoid(m.source, src),
+           "target": emit_groupoid(m.target, dst),
+           **morphism_maps(m, src, dst)}
     if marked is not None:
         doc["marked_object"] = src[0][marked]
     return doc

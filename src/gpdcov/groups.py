@@ -18,25 +18,39 @@ import itertools
 MAX_SUBGROUP_ENUM_ORDER = 64
 
 
-def _associative(table, identity) -> bool:
-    """Light's test, (x·a)·y = x·(a·y) for all x, y, a row at a time, on
-    each a of a generating set found greedily by closing the identity
-    under the table itself.  The a that pass are closed under products and
-    hold the identity (Clifford–Preston, *The Algebraic Theory of
-    Semigroups*, vol. 1), so passing is associativity."""
+def _left_closure(table, reached: set, gens) -> set:
+    """Extend ``reached`` in place to its closure under left products
+    g·w by every g in ``gens``, and return it.  From {e} in a finite group
+    that is the subgroup ⟨gens⟩: the powers of g hold g⁻¹."""
+    rows = [table[g] for g in gens]
+    queue = list(reached)
+    for w in queue:  # grows while it is walked
+        for row in rows:
+            v = row[w]
+            if v not in reached:
+                reached.add(v)
+                queue.append(v)
+    return reached
+
+
+def _greedy_generators(table, identity) -> list:
+    """Each element not yet in the running closure of {identity}, in
+    ascending order, becomes a generator and extends that closure."""
     reached, gens = {identity}, []
     for a in range(len(table)):
-        if a in reached:
-            continue
-        gens.append(a)
-        queue = list(reached)  # close under g·w for every gen g
-        for w in queue:
-            for g in gens:
-                v = table[g][w]
-                if v not in reached:
-                    reached.add(v)
-                    queue.append(v)
-    for a in gens:
+        if a not in reached:
+            gens.append(a)
+            _left_closure(table, reached, gens)
+    return gens
+
+
+def _associative(table, identity) -> bool:
+    """Light's test, (x·a)·y = x·(a·y) for all x, y, a row at a time, on
+    each a of :func:`_greedy_generators`.  The a that pass are closed
+    under products and hold the identity (Clifford–Preston, *The
+    Algebraic Theory of Semigroups*, vol. 1), so passing is
+    associativity."""
+    for a in _greedy_generators(table, identity):
         row_a = table[a]
         for row_x in table:
             if table[row_x[a]] != tuple(map(row_x.__getitem__, row_a)):
@@ -147,28 +161,9 @@ class FiniteGroup:
         return Subgroup(self, range(self.order))
 
     def closure(self, seed) -> frozenset:
-        """Smallest subset containing ``seed`` closed under product/inverse."""
-        known = {self.identity}
-        frontier = []
-        for a in seed:
-            if a not in known:
-                known.add(a)
-                frontier.append(a)
-        while frontier:
-            nxt = []
-            for a in list(known):
-                for b in frontier:
-                    for c in (self.mult(a, b), self.mult(b, a)):
-                        if c not in known:
-                            known.add(c)
-                            nxt.append(c)
-            for b in frontier:
-                inv = self.inverse(b)
-                if inv not in known:
-                    known.add(inv)
-                    nxt.append(inv)
-            frontier = nxt
-        return frozenset(known)
+        """The subgroup generated by ``seed``: {e} closed under left
+        products by the seed (:func:`_left_closure`)."""
+        return frozenset(_left_closure(self.table, {self.identity}, seed))
 
     def generated_subgroup(self, seed) -> "Subgroup":
         """Least subgroup containing ``seed`` (may be empty)."""
@@ -363,15 +358,7 @@ class Subgroup:
 
 def generating_set(group: FiniteGroup) -> tuple:
     """A small generating set found greedily (empty for the trivial group)."""
-    gens = []
-    have = group.closure(())
-    for a in range(group.order):
-        if a not in have:
-            gens.append(a)
-            have = group.closure(gens)
-            if len(have) == group.order:
-                break
-    return tuple(gens)
+    return tuple(_greedy_generators(group.table, group.identity))
 
 
 def all_homomorphisms(source: FiniteGroup, target: FiniteGroup):

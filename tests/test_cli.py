@@ -536,3 +536,37 @@ def test_cov_group_labels_the_total_once(capsys, monkeypatch):
         assert code == 0 and doc["order"] in (4, 6)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_validate_refuses_a_document_that_breaks_a_law(capsys, tmp_path):
+    """A document whose table breaks a groupoid law is an input error,
+    not a negative: no report on stdout, exit 2."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "objects": ["x"],
+        "arrows": [{"name": "e", "dom": "x", "cod": "x"},
+                   {"name": "a", "dom": "x", "cod": "x"}],
+        "compose": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"],
+                    ["a", "a", "e"]],
+        "inverse": {"e": "e", "a": "e"}}))
+    code, out, err = run_err(capsys, "validate", bad)
+    assert (code, out) == (2, "")
+    assert "not a groupoid" in err and "Traceback" not in err
+
+
+def test_check_cover_checks_functoriality_once(capsys, monkeypatch):
+    """Reading the morphism checks functoriality; the check is not run a
+    second time."""
+    calls = []
+    original = cli.docs.GroupoidMorphism.functoriality_violations
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(cli.docs.GroupoidMorphism,
+                        "functoriality_violations", counted)
+    for fixture, code in (("id_c4.json", 0), ("collapse_i2.json", 1)):
+        calls.clear()
+        assert run(capsys, "check-cover", FIXTURES / fixture)[0] == code
+        assert len(calls) == 1

@@ -812,3 +812,78 @@ def test_search_over_f_rejects_mismatched_maps():
     ident = GroupoidMorphism.identity(g)
     with pytest.raises(ValueError, match="over="):
         list(all_morphisms(trivial_groupoid(), g, over=(ident, ident)))
+
+
+# -- lift-built coverings are proved once --------------------------------------
+
+def assert_proved_by_its_lifts(cov):
+    """A covering built by ``covering_of_lifts`` passes the check it no
+    longer runs: ``check_covering`` gives the same witnesses, in the same
+    order, and the same mark, and the total is a groupoid."""
+    again = check_covering(cov.morphism, cov.marked_object)
+    assert isinstance(again, Covering)
+    assert [list(w.items()) for w in again.witnesses] == \
+        [list(w.items()) for w in cov.witnesses]
+    assert again.marked_object == cov.marked_object
+    assert validate(cov.total).ok
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_lift_built_coverings_pass_the_covering_check(name):
+    """Every covering the corpus builds from lifts: coset covers of every
+    subgroup (the universal cover among them), the classifier,
+    exponentials, coverings of elements and pullbacks."""
+    g = CORPUS[name]
+    covers = small_covers(name)
+    built = [omega(g).covering]
+    if is_connected(g):
+        built += subgroup_covers(g) + [universal_cover(g)]
+    built += [exponential(p, q).covering
+              for p, q in itertools.product(covers, repeat=2)]
+    built += [presheaf_to_covering(covering_to_presheaf(cov))
+              for cov in covers]
+    built += [pullback_covering(p, f).covering for p in covers
+              for f in _morphisms_into(name)]
+    for cov in built:
+        assert_proved_by_its_lifts(cov)
+
+
+def test_swap_actions_pass_the_covering_check():
+    """The two swap sets over the S3 fixture that are actions (see
+    ``test_covering_of_lifts_refuses_lifts_that_are_no_action``)."""
+    base = load_groupoid(str(FIXTURES / "s3.json"))
+    labels = [str(k) for k in range(2 * base.n_arrows)]
+    built = 0
+    for swapped in itertools.product((0, 1), repeat=base.n_arrows):
+        arrows = [(g, c ^ swapped[g], c) for g in base.arrows
+                  for c in (0, 1)]
+        for mark in (None, 1):
+            try:
+                cov = covering_of_lifts(base, (0, 0), arrows, ("p", "q"),
+                                        labels, "swap lifts", mark)
+            except TheoremViolation:
+                continue
+            assert_proved_by_its_lifts(cov)
+            built += 1
+    assert built == 4
+
+
+def reference_transport_arrows(p, f_arrow):
+    """The arrow map of ``fiber_transport`` as it was: s ↦ a2⁻¹∘s∘a1,
+    with a1, a2 the lifts of f into dom s and cod s."""
+    total, arr_map = p.total, {}
+    for s in fiber(p, p.base.cod[f_arrow]).arrows:
+        a1 = p.lift(f_arrow, total.dom[s])
+        a2 = p.lift(f_arrow, total.cod[s])
+        arr_map[s] = total.compose_arrows(
+            total.compose_arrows(total.inverse[a2], s), a1)
+    return arr_map
+
+
+@pytest.mark.parametrize("name", CONNECTED + DISCONNECTED)
+def test_fiber_transport_arrows_match_reference(name):
+    for cov in small_covers(name):
+        for f in cov.base.arrows:
+            got = fiber_transport(cov, f).arr_map
+            assert list(got.items()) == list(
+                reference_transport_arrows(cov, f).items())
