@@ -86,12 +86,6 @@ class GroupAction:
                 if lefts is not gens:  # only the full scan's error is raised
                     raise
 
-    def act_obj(self, k: int, x: int) -> int:
-        return self.obj_maps[k][x]
-
-    def act_arr(self, k: int, a: int) -> int:
-        return self.arr_maps[k][a]
-
     def fixed_point(self):
         """(element, object) witnessing non-freeness, or None."""
         return next(((k, x) for k in range(self.group.order)

@@ -55,12 +55,6 @@ class GroupoidMorphism:
                 bad = next(v for v in images if not 0 <= v < bound)
                 raise ValueError(f"{what} image {bad} out of range")
 
-    def obj(self, x: int) -> int:
-        return self.obj_map[x]
-
-    def arr(self, a: int) -> int:
-        return self.arr_map[a]
-
     @classmethod
     def identity(cls, g: FiniteGroupoid) -> "GroupoidMorphism":
         return cls(g, g, tuple(g.objects), tuple(g.arrows))
@@ -82,17 +76,17 @@ class GroupoidMorphism:
         order are those of that scan.
         """
         src, dst = self.source, self.target
-        arr = self.arr_map
+        arr, obj = self.arr_map, self.obj_map
         bad = []
-        for a in src.arrows:
-            fa = arr[a]
-            if dst.dom[fa] != self.obj_map[src.dom[a]]:
-                bad.append(f"arrow {a}: image dom mismatch")
-            if dst.cod[fa] != self.obj_map[src.cod[a]]:
-                bad.append(f"arrow {a}: image cod mismatch")
-        for x in src.objects:
-            if arr[src.identity[x]] != dst.identity[self.obj_map[x]]:
-                bad.append(f"object {x}: identity not preserved")
+        if not (_pick(dst.dom, arr) == _pick(obj, src.dom)
+                and _pick(dst.cod, arr) == _pick(obj, src.cod)
+                and _pick(arr, src.identity) == _pick(dst.identity, obj)):
+            bad = [f"arrow {a}: image {end} mismatch" for a in src.arrows
+                   for end, s, d in (("dom", src.dom, dst.dom),
+                                     ("cod", src.cod, dst.cod))
+                   if d[arr[a]] != obj[s[a]]]  # only to name the offenders
+            bad += [f"object {x}: identity not preserved" for x in src.objects
+                    if arr[src.identity[x]] != dst.identity[obj[x]]]
         if not bad and self._keeps_composites_on(generators(src)):
             return bad
         for (f, h), v in src.compose.items():
@@ -152,6 +146,12 @@ class GroupoidMorphism:
 
     def __repr__(self):
         return (f"GroupoidMorphism({self.source!r} -> {self.target!r})")
+
+
+def _pick(seq, ids) -> tuple:
+    """``tuple(seq[i] for i in ids)``, by ``itemgetter`` for 2 ids or more."""
+    return itemgetter(*ids)(seq) if len(ids) > 1 else tuple(
+        seq[i] for i in ids)
 
 
 def compose_morphisms(outer: GroupoidMorphism,

@@ -111,9 +111,6 @@ class FiniteGroupoid:
                 f"(cod({h})={self.cod[h]} != dom({f})={self.dom[f]})"
             ) from None
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def hom(self, x: int, y: int) -> tuple:
         """Arrows x -> y in ascending id order; O(|star y|) from the star
         index."""

@@ -307,9 +307,6 @@ class Presheaf:
                     raise ValueError(
                         f"functoriality fails on pair ({f}, {h})")
 
-    def apply(self, arrow: int, element):
-        return self.maps[arrow][element]
-
 
 def covering_to_presheaf(p: Covering) -> Presheaf:
     """Fiber objects with transport: F(x) = Ob(fiber over x), F(g) the

@@ -7,16 +7,18 @@ identity, and all of them together form a group under composition.
 
 Enumeration is therefore seeded from fiber objects instead of searching all
 automorphisms: h(x0) must be a fiber object with the same pushforward loop
-group, and each such object yields at most one transformation.
+group, and each such object yields one transformation, read from the
+witnesses and certified arrow by arrow (:func:`covering_transformations`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .covering import (Covering, GroupoidMorphism, compose_morphisms,
-                       lift_morphism, monodromy, pushforward_vertex)
+from .covering import (Covering, GroupoidMorphism, _pick, compose_morphisms,
+                       monodromy, pushforward_vertex)
 from .groupoid import generators, is_connected
 from .groups import FiniteGroup, Subgroup, is_isomorphic
 
@@ -34,35 +36,43 @@ class CovGroup:
     of them are functors, which agree when they agree on the arrows a ≤ a⁻¹
     of :func:`~gpdcov.groupoid.generators` of the total, so the comparison
     runs on those, or on every arrow when the total has no certified
-    generating set.
+    generating set.  Unless ``certified``, each map is then certified a
+    functor over p, as in :func:`covering_transformations`.
     """
 
     def __init__(self, covering: Covering, transformations,
-                 base_object: int, marked: int):
+                 base_object: int, marked: int, certified: bool = False):
         self.covering = covering
         self.base_object = base_object
         self.marked = marked
         transformations = sorted(
             transformations, key=lambda t: t.obj_map[marked])
-        self.transformations = tuple(transformations)
+        self.transformations = ts = tuple(transformations)
         key = {t.obj_map[marked]: i for i, t in enumerate(transformations)}
         if len(key) != len(transformations):
             raise TheoremViolation(
                 "two covering transformations agree on an object")
         gens, inverse = generators(covering.total), covering.total.inverse
         gens = gens and tuple(a for a in gens if a <= inverse[a])
+        on_gens = [gens and _pick(t.arr_map, gens) for t in ts]
         table = []
-        for t1 in self.transformations:
+        for t1 in ts:
             row = []
-            for t2 in self.transformations:
+            for k, t2 in enumerate(ts):
                 idx = key.get(t1.obj_map[t2.obj_map[marked]])
-                if idx is None or not _is_composite(
-                        self.transformations[idx], t1, t2, gens):
+                if idx is None or (  # t1∘t2 = ts[idx], on gens if any
+                        on_gens[idx] != _pick(t1.arr_map, on_gens[k])
+                        if gens else ts[idx] != compose_morphisms(t1, t2)):
                     raise TheoremViolation(
                         "covering transformations are not closed under "
                         "composition")
                 row.append(idx)
             table.append(tuple(row))
+        for t in () if certified else ts:
+            if fault := _transformation_fault(covering, t):
+                raise TheoremViolation(
+                    f"covering transformation h{t.obj_map[marked]} breaks "
+                    f"{fault[0]} at arrow {fault[1]}")
         self.group = FiniteGroup(
             tuple(table),
             names=tuple(f"h{t.obj_map[marked]}"
@@ -87,14 +97,10 @@ class CovGroup:
 
     def subgroup_of_morphisms(self, morphisms) -> Subgroup:
         """The subgroup whose members are the given automorphisms."""
-        idxs = []
-        for m in morphisms:
-            i = self.index_of(m)
-            if i is None:
-                raise TheoremViolation(
-                    "automorphism is not a covering transformation of the "
-                    "reference covering")
-            idxs.append(i)
+        idxs = [self.index_of(m) for m in morphisms]
+        if None in idxs:
+            raise TheoremViolation("automorphism is not a covering "
+                                   "transformation of the reference covering")
         return Subgroup(self.group, idxs)
 
     def as_action(self):
@@ -115,37 +121,69 @@ class CovGroup:
             tuple(self.transformations[k].arr_map for k in sub.elements))
 
 
-def _is_composite(t: GroupoidMorphism, t1: GroupoidMorphism,
-                  t2: GroupoidMorphism, gens) -> bool:
-    """t = t1∘t2, for functors: compared on the generating set ``gens``,
-    or on every object and arrow when it is None."""
-    if gens is None:
-        return t == compose_morphisms(t1, t2)
-    a, a1, a2 = t.arr_map, t1.arr_map, t2.arr_map
-    return all(a[g] == a1[a2[g]] for g in gens)
-
-
 def covering_transformations(p: Covering) -> CovGroup:
     """Enumerate Cov(total/base) for a connected covering.
 
-    For each fiber object x over the reference base object, unique
-    lifting of p through itself with seed x gives the only possible
-    transformation sending the marked object to x.  It exists iff the
-    pushforward loop group at x contains the marked one; both are
-    conjugate, so then they are equal, the reverse lift exists too, and
-    the lift is an isomorphism (checked).
+    A transformation t is fixed by c = t(mark), a fiber object, and exists
+    iff the loop images at the mark lie inside those at c (the lifting
+    criterion).  t is read from the witnesses: along one breadth-first
+    spanning tree from the mark, t(y) = dom of the witness at t(parent)
+    over the tree arrow's image; then t(a) = witnesses[t(cod a)][p(a)].
+    The certificate of :func:`_transformation_fault` is exact: t(a∘b) and
+    t(a)∘t(b) both lie over p(a∘b) and end at t(cod a), and the star map of
+    a covering is injective, so they are equal, as are t(id x) and id t(x);
+    so t is a functor over p.  A failure raises :class:`TheoremViolation`
+    naming an object.  Bijectivity is checked, closure by :class:`CovGroup`.
     """
     if not (is_connected(p.total) and is_connected(p.base)):
         raise ValueError("covering transformations require a connected "
                          "covering")
-    marked = p.mark
-    base_obj = p.morphism.obj_map[marked]
-    lifts = (lift_morphism(p, p.morphism, marked, cand)
-             for cand in p.fibers[base_obj])
-    found = [h for h in lifts if h is not None]
+    total, wit, over = p.total, p.witnesses, p.morphism.arr_map
+    base_of = p.morphism.obj_map
+    tree, seen = [], {p.mark}  # (object, parent, base arrow)
+    for parent in itertools.chain([p.mark], (y for y, _, _ in tree)):
+        for a in total._into[parent]:
+            if total.dom[a] not in seen:
+                seen.add(total.dom[a])
+                tree.append((total.dom[a], parent, over[a]))
+    loops, found = {over[a] for a in total.loops(p.mark)}, []
+    for c in [c for c in p.fibers[base_of[p.mark]]  # the lifting criterion
+              if loops <= {over[a] for a in total.loops(c)}]:
+        obj = [None] * total.n_objects
+        obj[p.mark] = c
+        try:
+            for y, parent, g in tree:
+                obj[y] = total.dom[wit[obj[parent]][g]]
+            arr = [wit[obj[x]][g] for x, g in zip(total.cod, over)]
+        except KeyError:  # an image left its fiber: name the least such
+            fault = [x for x, z in enumerate(obj)
+                     if z is not None and base_of[z] != base_of[x]][:1]
+        else:
+            found.append(GroupoidMorphism(total, total, obj, arr))
+            fault = _transformation_fault(p, found[-1])
+        if fault:
+            raise TheoremViolation(
+                f"lift propagation inconsistent at object {fault[-1]}")
     if not all(h.is_bijective() for h in found):
         raise TheoremViolation("seeded transformation is not an isomorphism")
-    return CovGroup(p, found, base_obj, marked)
+    return CovGroup(p, found, base_of[p.mark], p.mark, True)
+
+
+def _transformation_fault(p: Covering, t: GroupoidMorphism):
+    """(clause, a, dom a or cod a) for the first arrow a at which t breaks
+    dom t(a) = t(dom a), cod t(a) = t(cod a) or p(t(a)) = p(a), or None.
+    Whole tuples are compared; the arrows are walked only to name a."""
+    dom, cod, over = p.total.dom, p.total.cod, p.morphism.arr_map
+    arr, obj = t.arr_map, t.obj_map
+    if (_pick(dom, arr), _pick(cod, arr), _pick(over, arr)) == \
+            (_pick(obj, dom), _pick(obj, cod), over):
+        return None
+    return next((clause, a, x) for a, fa in enumerate(arr)
+                for clause, ok, x in (
+                    ("dom t(a) = t(dom a)", dom[fa] == obj[dom[a]], dom[a]),
+                    ("cod t(a) = t(cod a)", cod[fa] == obj[cod[a]], cod[a]),
+                    ("p(t(a)) = p(a)", over[fa] == over[a], cod[a]))
+                if not ok)
 
 
 def is_regular(p: Covering) -> bool:
@@ -189,10 +227,8 @@ def cov_normalizer_iso(p: Covering, at=None) -> NormalizerIso:
         at = p.mark
     push = pushforward_vertex(p, at)
     norm = push.normalizer()
-    norm_group = norm.as_group()
-    push_inside = Subgroup(
-        norm_group,
-        (norm.elements.index(k) for k in push.elements))
+    push_inside = Subgroup(norm.as_group(),
+                           (norm.elements.index(k) for k in push.elements))
     quotient = push_inside.quotient()
     cov = covering_transformations(p)
     cosets = push_inside.right_cosets()
@@ -210,13 +246,10 @@ def cov_normalizer_iso(p: Covering, at=None) -> NormalizerIso:
         raise TheoremViolation(
             "normalizer-quotient map is not a bijection onto the "
             "covering transformations")
-    # homomorphism check on the whole quotient table
-    for i in range(quotient.order):
-        for j in range(quotient.order):
-            if mapping[quotient.mult(i, j)] != \
-                    cov.group.mult(mapping[i], mapping[j]):
-                raise TheoremViolation(
-                    "normalizer-quotient map is not a homomorphism")
+    if any(mapping[quotient.mult(i, j)] != cov.group.mult(mapping[i],
+                                                          mapping[j])
+           for i in range(quotient.order) for j in range(quotient.order)):
+        raise TheoremViolation("normalizer-quotient map is not a homomorphism")
     return NormalizerIso(covering=p, at=at, pushforward=push,
                          normalizer=norm, quotient=quotient, cov=cov,
                          mapping=tuple(mapping))
@@ -236,8 +269,7 @@ def principal_action_check(p: Covering) -> bool:
         for i, t in enumerate(cov.transformations)
         if i != cov.group.identity)
     push = pushforward_vertex(p, cov.marked)
-    quotient_ok = is_isomorphic(push.quotient(), cov.group)
-    if not quotient_ok:
+    if not is_isomorphic(push.quotient(), cov.group):
         raise TheoremViolation(
             "Cov is not isomorphic to the vertex-group quotient on a "
             "regular covering")
