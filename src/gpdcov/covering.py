@@ -2,9 +2,9 @@
 
 A morphism of groupoids p : total -> base is a covering projection when its
 restriction star(x) -> star(p x) is a bijection for every total object x.
-The inverse bijections (one per total object) are computed once and cached
-as the covering's witness: every lifting construction afterwards is a pure
-table lookup.
+The inverse bijections (one per total object) are cached as the witness.
+Every lift is read from them by one kernel, :func:`_lifter`, along one
+spanning tree, one lookup per arrow, and certified once by whole tuples.
 
 A :class:`Covering` is read-only.  It takes its marked object at
 construction and also keeps ``mark`` (the marked object, or 0 when none is
@@ -533,31 +533,84 @@ def _lift_walk(p: Covering, f: GroupoidMorphism, start):
     return pairs, arrows
 
 
-def _seeded_lift(p: Covering, f: GroupoidMorphism, root: int, seed: int):
-    """The lift of f through p on the component of ``root``, with root ↦
-    seed, as (obj_img, arr_img) dicts; None unless the loop images of f at
-    root lie among those of p at seed (the lifting criterion).  Requires
-    f(root) = p(seed).  A source object lifted to two objects means the
-    witnesses are inconsistent and raises :class:`TheoremViolation`."""
-    if not {f.arr_map[a] for a in f.source.loops(root)} <= \
-            {p.morphism.arr_map[a] for a in p.total.loops(seed)}:
+def _lifter(p: Covering, f: GroupoidMorphism, root: int):
+    """The one unique-lifting kernel, for f a functor into p.base and p a
+    covering: the arrows of root's component in f.source, ascending, and
+    ``lift(seed)``.  That is None unless the loop images of f at root lie
+    among those of p at seed (the lifting criterion), else the lift g with
+    g(root) = seed as (obj, arr): obj over the source objects, None off the
+    component, and arr aligned with the arrows.  Along one breadth-first
+    spanning tree, built once, g(y) = dom witnesses[g(parent)][f(tree
+    arrow)], then g(a) = witnesses[g(cod a)][f(a)].  :func:`_lift_fault`
+    certifies g exactly: g(a∘b) and g(a)∘g(b) lie over f(a∘b) and end at
+    g(cod a), and star maps are injective, so they are equal, as are g(id
+    x) and id g(x).  Inconsistent witnesses raise :class:`TheoremViolation`
+    at the least z whose witness g(z) lacks f(a) for an a into z (as when
+    p(g(z)) ≠ f(z)), else at an end of the first refused arrow."""
+    src, total, wit = f.source, p.total, p.witnesses
+    f_arr, p_arr = f.arr_map, p.morphism.arr_map
+    tree, seen = [], {root}  # (object, parent, f of the tree arrow)
+    for parent in itertools.chain([root], (y for y, _, _ in tree)):
+        for a in src._into[parent]:
+            if src.dom[a] not in seen:
+                seen.add(src.dom[a])
+                tree.append((src.dom[a], parent, f_arr[a]))
+    if len(seen) == src.n_objects:  # the component is the whole source
+        ends = (src.arrows, src.dom, src.cod, f_arr)
+    else:
+        arrows = sorted(a for x in seen for a in src._into[x])
+        ends = (arrows, *(_pick(t, arrows) for t in (src.dom, src.cod, f_arr)))
+    arrows, _, cods, over = ends
+    loops = {f_arr[a] for a in src.loops(root)}
+
+    def lift(seed):
+        if not loops <= {p_arr[a] for a in total.loops(seed)}:
+            return None
+        obj = [None] * src.n_objects
+        obj[root] = seed
+        try:
+            for y, parent, g in tree:
+                obj[y] = total.dom[wit[obj[parent]][g]]
+            arr = tuple([wit[obj[x]][g] for x, g in zip(cods, over)])
+        except KeyError:  # a read left the fiber: name the least such
+            fault = [x for x, z in enumerate(obj) if z is not None and not
+                     {f_arr[a] for a in src._into[x]} <= wit[z].keys()][:1]
+        else:
+            fault = _lift_fault(p, ends, obj, arr)
+        if fault:
+            raise TheoremViolation(
+                f"lift propagation inconsistent at object {fault[-1]}")
+        return obj, arr
+    return arrows, lift
+
+
+def _lift_fault(p: Covering, ends, obj, arr):
+    """(clause, a, dom a or cod a) for the first arrow a at which (obj,
+    arr) breaks dom g(a) = g(dom a), cod g(a) = g(cod a) or p(g(a)) = f(a),
+    clauses named as for a transformation (f = p); None if none.  ``ends``
+    = (arrows, doms, cods, f-images), arr aligned with them.  Whole tuples
+    are compared; the arrows are walked only to name a."""
+    arrows, doms, cods, over = ends
+    dom, cod, p_arr = p.total.dom, p.total.cod, p.morphism.arr_map
+    if (_pick(dom, arr), _pick(cod, arr), _pick(p_arr, arr)) == \
+            (_pick(obj, doms), _pick(obj, cods), over):
         return None
-    pairs, arrows = _lift_walk(p, f, (root, seed))
-    obj_img = dict(pairs)
-    if len(obj_img) != len(pairs):
-        x = next(s for s, t in pairs if obj_img[s] != t)
-        raise TheoremViolation(f"lift propagation inconsistent at object {x}")
-    return obj_img, {a: b for a, b, _, _ in arrows}
+    return next((clause, a, x)
+                for a, fa, d, c, fo in zip(arrows, arr, doms, cods, over)
+                for clause, ok, x in (
+                    ("dom t(a) = t(dom a)", dom[fa] == obj[d], d),
+                    ("cod t(a) = t(cod a)", cod[fa] == obj[c], c),
+                    ("p(t(a)) = p(a)", p_arr[fa] == fo, c))
+                if not ok)
 
 
 def lift_morphism(p: Covering, f: GroupoidMorphism, f0: int,
                   seed: int):
     """The unique lift g of f through p with g(f0) = seed, or None.
 
-    Requires f.source connected and f(f0) = p(seed).  The lift exists iff
-    the f-image of the loop group at f0 lands inside the pushforward loop
-    group at seed; on success the result satisfies p∘g = f and is verified
-    functorial.
+    Requires f.source connected, f functorial and f(f0) = p(seed).  The
+    lift exists iff the f-image of the loop group at f0 lands inside the
+    pushforward loop group at seed.  :func:`_lifter` reads and certifies g.
     """
     if f.target != p.base:
         raise ValueError("morphism target must be the covering's base")
@@ -570,20 +623,10 @@ def lift_morphism(p: Covering, f: GroupoidMorphism, f0: int,
     if f.obj_map[f0] != p.morphism.obj_map[seed]:
         raise ValueError("seed does not lie over the image of the source "
                          "object")
-    piece = _seeded_lift(p, f, f0, seed)
-    return None if piece is None else _glued_lift(p, f, [piece])
-
-
-def _glued_lift(p: Covering, f: GroupoidMorphism, pieces) -> GroupoidMorphism:
-    """The lift of f through p glued from ``pieces``; one that is not
-    functorial or does not lie over f raises :class:`TheoremViolation`."""
-    g = glue_morphism(f.source, p.total, pieces)
-    if not g.is_functorial():
-        raise TheoremViolation("glued lift is not functorial")
-    if compose_morphisms(p.morphism, g) != f:
-        raise TheoremViolation("glued lift does not cover the requested "
-                               "morphism")
-    return g
+    if bad := f.functoriality_violations():
+        raise ValueError("morphism is not functorial: " + "; ".join(bad))
+    got = _lifter(p, f, f0)[1](seed)
+    return None if got is None else GroupoidMorphism(f.source, p.total, *got)
 
 
 class MonodromyAction:
@@ -668,16 +711,16 @@ def covering_morphisms(p: Covering, q: Covering, cap: int = 100000):
     A candidate is determined per component of total(p) by the image of
     that component's least object, which must be a fiber object of q whose
     pushforward loop group absorbs the component's; everything else is
-    forced by unique lifting.
+    forced by unique lifting, read and certified by :func:`_lifter`.
     """
     if p.base != q.base:
         raise ValueError("coverings must share a base")
     per_block = []
     for block in components(p.total).blocks:
-        root = block[0]
-        pieces = (_seeded_lift(q, p.morphism, root, cand)
-                  for cand in q.fibers[p.morphism.obj_map[root]])
-        per_block.append([piece for piece in pieces if piece is not None])
+        arrows, lift = _lifter(q, p.morphism, block[0])
+        lifts = map(lift, q.fibers[p.morphism.obj_map[block[0]]])
+        per_block.append([({x: obj[x] for x in block}, dict(zip(arrows, arr)))
+                          for obj, arr in filter(None, lifts)])
     count = 1
     for pieces in per_block:
         count *= len(pieces)
@@ -869,27 +912,26 @@ def find_covering_isomorphism(p: Covering, q: Covering):
 def _iso_over(f: GroupoidMorphism, q: Covering):
     """An isomorphism g: f.source -> total(q) with q∘g = f, or None.
 
-    Each component of f.source is lifted at most once per component of
-    total(q) of its size, seeded at that component's first fiber object
-    passing the lifting criterion (for the covering projections f passed
-    here, equal sizes make it equality of loop images); the first
-    assignment of distinct target components, in ascending order, is
-    glued.  A glued lift that is not functorial or does not cover f raises
-    :class:`TheoremViolation`; a non-bijective one gives None.
+    Each component of f.source is lifted by :func:`_lifter` at most once
+    per component of total(q) of its size, seeded at that component's
+    first fiber object passing the lifting criterion (for the covering
+    projections f passed here, equal sizes make it equality of loop
+    images); the first assignment of distinct target components, in
+    ascending order, is glued, and None is returned unless it is bijective.
     """
     src, total = f.source, q.total
     q_parts = components(total)
     options = []
     for block in components(src).blocks:
-        root = block[0]
+        arrows, lift = _lifter(q, f, block[0])
         pieces = {}
-        for cand in q.fibers[f.obj_map[root]]:
+        for cand in q.fibers[f.obj_map[block[0]]]:
             j = q_parts.index[cand]
             if j in pieces or len(q_parts.blocks[j]) != len(block):
                 continue
-            piece = _seeded_lift(q, f, root, cand)
-            if piece is not None:
-                pieces[j] = piece
+            if got := lift(cand):
+                pieces[j] = ({x: got[0][x] for x in block},
+                             dict(zip(arrows, got[1])))
         options.append(sorted(pieces.items()))
 
     def backtrack(i, used, acc):
@@ -905,5 +947,5 @@ def _iso_over(f: GroupoidMorphism, q: Covering):
     combo = backtrack(0, frozenset(), [])
     if combo is None:
         return None
-    g = _glued_lift(q, f, combo)
+    g = glue_morphism(src, total, combo)
     return g if g.is_bijective() else None

@@ -7,18 +7,19 @@ identity, and all of them together form a group under composition.
 
 Enumeration is therefore seeded from fiber objects instead of searching all
 automorphisms: h(x0) must be a fiber object with the same pushforward loop
-group, and each such object yields one transformation, read from the
-witnesses and certified arrow by arrow (:func:`covering_transformations`).
+group, and each such object yields one transformation: the lift of p
+through itself, read and certified by the one lifting kernel of
+:mod:`gpdcov.covering`, as every lift is (:func:`covering_transformations`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .covering import (Covering, GroupoidMorphism, _pick, compose_morphisms,
-                       monodromy, pushforward_vertex)
+from .covering import (Covering, GroupoidMorphism, _lift_fault, _lifter,
+                       _pick, compose_morphisms, monodromy,
+                       pushforward_vertex)
 from .groupoid import generators, is_connected
 from .groups import FiniteGroup, Subgroup, is_isomorphic
 
@@ -37,7 +38,8 @@ class CovGroup:
     of :func:`~gpdcov.groupoid.generators` of the total, so the comparison
     runs on those, or on every arrow when the total has no certified
     generating set.  Unless ``certified``, each map is then certified a
-    functor over p, as in :func:`covering_transformations`.
+    functor over p by the lifting kernel's certificate, which names an
+    arrow id.
     """
 
     def __init__(self, covering: Covering, transformations,
@@ -52,7 +54,8 @@ class CovGroup:
         if len(key) != len(transformations):
             raise TheoremViolation(
                 "two covering transformations agree on an object")
-        gens, inverse = generators(covering.total), covering.total.inverse
+        total = covering.total
+        gens, inverse = generators(total), total.inverse
         gens = gens and tuple(a for a in gens if a <= inverse[a])
         on_gens = [gens and _pick(t.arr_map, gens) for t in ts]
         table = []
@@ -68,8 +71,9 @@ class CovGroup:
                         "composition")
                 row.append(idx)
             table.append(tuple(row))
+        ends = (total.arrows, total.dom, total.cod, covering.morphism.arr_map)
         for t in () if certified else ts:
-            if fault := _transformation_fault(covering, t):
+            if fault := _lift_fault(covering, ends, t.obj_map, t.arr_map):
                 raise TheoremViolation(
                     f"covering transformation h{t.obj_map[marked]} breaks "
                     f"{fault[0]} at arrow {fault[1]}")
@@ -124,66 +128,20 @@ class CovGroup:
 def covering_transformations(p: Covering) -> CovGroup:
     """Enumerate Cov(total/base) for a connected covering.
 
-    A transformation t is fixed by c = t(mark), a fiber object, and exists
-    iff the loop images at the mark lie inside those at c (the lifting
-    criterion).  t is read from the witnesses: along one breadth-first
-    spanning tree from the mark, t(y) = dom of the witness at t(parent)
-    over the tree arrow's image; then t(a) = witnesses[t(cod a)][p(a)].
-    The certificate of :func:`_transformation_fault` is exact: t(a∘b) and
-    t(a)∘t(b) both lie over p(a∘b) and end at t(cod a), and the star map of
-    a covering is injective, so they are equal, as are t(id x) and id t(x);
-    so t is a functor over p.  A failure raises :class:`TheoremViolation`
-    naming an object.  Bijectivity is checked, closure by :class:`CovGroup`.
+    A transformation t is fixed by c = t(mark), a fiber object: it is the
+    lift of p through itself with mark ↦ c, read from the witnesses and
+    certified by the lifting kernel :func:`~gpdcov.covering._lifter`, once
+    per fiber object.  Bijectivity is checked, closure by :class:`CovGroup`.
     """
     if not (is_connected(p.total) and is_connected(p.base)):
         raise ValueError("covering transformations require a connected "
                          "covering")
-    total, wit, over = p.total, p.witnesses, p.morphism.arr_map
-    base_of = p.morphism.obj_map
-    tree, seen = [], {p.mark}  # (object, parent, base arrow)
-    for parent in itertools.chain([p.mark], (y for y, _, _ in tree)):
-        for a in total._into[parent]:
-            if total.dom[a] not in seen:
-                seen.add(total.dom[a])
-                tree.append((total.dom[a], parent, over[a]))
-    loops, found = {over[a] for a in total.loops(p.mark)}, []
-    for c in [c for c in p.fibers[base_of[p.mark]]  # the lifting criterion
-              if loops <= {over[a] for a in total.loops(c)}]:
-        obj = [None] * total.n_objects
-        obj[p.mark] = c
-        try:
-            for y, parent, g in tree:
-                obj[y] = total.dom[wit[obj[parent]][g]]
-            arr = [wit[obj[x]][g] for x, g in zip(total.cod, over)]
-        except KeyError:  # an image left its fiber: name the least such
-            fault = [x for x, z in enumerate(obj)
-                     if z is not None and base_of[z] != base_of[x]][:1]
-        else:
-            found.append(GroupoidMorphism(total, total, obj, arr))
-            fault = _transformation_fault(p, found[-1])
-        if fault:
-            raise TheoremViolation(
-                f"lift propagation inconsistent at object {fault[-1]}")
+    lift = _lifter(p, p.morphism, p.mark)[1]
+    found = [GroupoidMorphism(p.total, p.total, obj, arr) for obj, arr in
+             filter(None, map(lift, p.fibers[p.morphism.obj_map[p.mark]]))]
     if not all(h.is_bijective() for h in found):
         raise TheoremViolation("seeded transformation is not an isomorphism")
-    return CovGroup(p, found, base_of[p.mark], p.mark, True)
-
-
-def _transformation_fault(p: Covering, t: GroupoidMorphism):
-    """(clause, a, dom a or cod a) for the first arrow a at which t breaks
-    dom t(a) = t(dom a), cod t(a) = t(cod a) or p(t(a)) = p(a), or None.
-    Whole tuples are compared; the arrows are walked only to name a."""
-    dom, cod, over = p.total.dom, p.total.cod, p.morphism.arr_map
-    arr, obj = t.arr_map, t.obj_map
-    if (_pick(dom, arr), _pick(cod, arr), _pick(over, arr)) == \
-            (_pick(obj, dom), _pick(obj, cod), over):
-        return None
-    return next((clause, a, x) for a, fa in enumerate(arr)
-                for clause, ok, x in (
-                    ("dom t(a) = t(dom a)", dom[fa] == obj[dom[a]], dom[a]),
-                    ("cod t(a) = t(cod a)", cod[fa] == obj[cod[a]], cod[a]),
-                    ("p(t(a)) = p(a)", over[fa] == over[a], cod[a]))
-                if not ok)
+    return CovGroup(p, found, p.morphism.obj_map[p.mark], p.mark, True)
 
 
 def is_regular(p: Covering) -> bool:

@@ -3,8 +3,9 @@
 ``covering_transformations`` reads each transformation from the covering's
 witnesses along one spanning tree of the total and certifies it arrow by
 arrow.  The code it replaced, one ``lift_morphism`` per fiber object, is
-kept verbatim below as ``reference_covering_transformations``.  Both must
-give the same object maps, arrow maps, group tables and names on every
+kept verbatim below as ``reference_covering_transformations``, on the old
+lift path (``reference_lift_morphism`` of ``tests/test_lifts.py``).  Both
+must give the same object maps, arrow maps, group tables and names on every
 corpus here, and both must refuse a covering whose witnesses are swapped.
 ``CovGroup`` certifies the maps it is given, and the per-arrow clauses of
 ``functoriality_violations`` are compared with the loop they replaced.
@@ -20,14 +21,15 @@ from gpdcov import (CovGroup, Covering, FiniteGroup, FiniteGroupoid,
                     GroupoidMorphism, TheoremViolation, covering_from_subgroup,
                     covering_to_presheaf, covering_transformations,
                     exponential, generators, group_groupoid, is_connected,
-                    lift_morphism, omega, presheaf_to_covering,
-                    pullback_covering, trivial_groupoid, universal_cover,
-                    vertex_group)
+                    omega, presheaf_to_covering, pullback_covering,
+                    trivial_groupoid, universal_cover, vertex_group)
+from gpdcov import covering as covering_module
 from gpdcov import transform as transform_module
 
 from test_classify import LATTICE_BASES, lattice_of
 from test_index import CORPUS, codiscrete_times_group
-from test_lifts import (CONNECTED, _morphisms_into, small_covers,
+from test_lifts import (CONNECTED, _morphisms_into,
+                        reference_lift_morphism, small_covers,
                         subgroup_covers)
 
 
@@ -46,7 +48,7 @@ def reference_covering_transformations(p: Covering) -> CovGroup:
                          "covering")
     marked = p.mark
     base_obj = p.morphism.obj_map[marked]
-    lifts = (lift_morphism(p, p.morphism, marked, cand)
+    lifts = (reference_lift_morphism(p, p.morphism, marked, cand)
              for cand in p.fibers[base_obj])
     found = [h for h in lifts if h is not None]
     if not all(h.is_bijective() for h in found):
@@ -152,9 +154,10 @@ def test_both_refuse_swapped_witnesses(name):
 def test_kernel_certifies_each_transformation_once(monkeypatch):
     p = universal_cover(CORPUS["codiscrete-2-x-s3-shuffled"])
     calls = []
-    certify = transform_module._transformation_fault
-    monkeypatch.setattr(transform_module, "_transformation_fault",
-                        lambda *args: calls.append(args) or certify(*args))
+    certify = covering_module._lift_fault
+    for module in (covering_module, transform_module):
+        monkeypatch.setattr(module, "_lift_fault",
+                            lambda *args: calls.append(args) or certify(*args))
     cov = covering_transformations(p)
     assert len(calls) == cov.order == 6
     CovGroup(p, cov.transformations, cov.base_object, cov.marked)

@@ -8,7 +8,10 @@ composition tables by hand, are kept verbatim below as ``reference_*``.
 On the generated groupoids of ``test_index.py`` and on coverings of them,
 both must give the same ids, tables and labels.  The search of
 ``all_morphisms`` restricted to the morphisms over f is compared with
-filtering the full enumeration, ``reference_morphisms_over``.
+filtering the full enumeration, ``reference_morphisms_over``.  The lift
+path that the one lifting kernel replaced (a walk per seed, then a second
+proof of the glued lift) is kept verbatim too, as the oracle of
+``tests/test_lift_kernel.py`` and of the isomorphism searches here.
 """
 
 import itertools
@@ -29,11 +32,10 @@ from gpdcov import (Covering, FiniteGroup, FiniteGroupoid, GroupoidMorphism,
 from gpdcov import covering as covering_module
 from gpdcov.classify import PullbackCovering
 from gpdcov.documents import load_groupoid
-from gpdcov.covering import (_iso_over, _seeded_lift, components,
+from gpdcov.covering import (_iso_over, _lift_walk, components,
                              compose_morphisms, covering_of_lifts,
                              factor_through, find_covering_isomorphism,
-                             glue_morphism, groupoid_isomorphisms,
-                             lift_morphism)
+                             glue_morphism, groupoid_isomorphisms)
 from gpdcov.groupoid import relabeled, validate
 from gpdcov.selftest import _lift_triples
 from gpdcov.topos import ExponentialCovering, Omega, presheaf_to_covering
@@ -292,6 +294,133 @@ def reference_omega(g):
                  false_objects=tuple(range(no, 2 * no)))
 
 
+# -- the lift path the kernel replaced, verbatim ------------------------------
+
+def reference_seeded_lift(p: Covering, f: GroupoidMorphism, root: int,
+                          seed: int):
+    """The lift of f through p on the component of ``root``, with root ↦
+    seed, as (obj_img, arr_img) dicts; None unless the loop images of f at
+    root lie among those of p at seed (the lifting criterion).  Requires
+    f(root) = p(seed).  A source object lifted to two objects means the
+    witnesses are inconsistent and raises :class:`TheoremViolation`."""
+    if not {f.arr_map[a] for a in f.source.loops(root)} <= \
+            {p.morphism.arr_map[a] for a in p.total.loops(seed)}:
+        return None
+    pairs, arrows = _lift_walk(p, f, (root, seed))
+    obj_img = dict(pairs)
+    if len(obj_img) != len(pairs):
+        x = next(s for s, t in pairs if obj_img[s] != t)
+        raise TheoremViolation(f"lift propagation inconsistent at object {x}")
+    return obj_img, {a: b for a, b, _, _ in arrows}
+
+
+def reference_lift_morphism(p: Covering, f: GroupoidMorphism, f0: int,
+                            seed: int):
+    """The unique lift g of f through p with g(f0) = seed, or None.
+
+    Requires f.source connected and f(f0) = p(seed).  The lift exists iff
+    the f-image of the loop group at f0 lands inside the pushforward loop
+    group at seed; on success the result satisfies p∘g = f and is verified
+    functorial.
+    """
+    if f.target != p.base:
+        raise ValueError("morphism target must be the covering's base")
+    if not is_connected(f.source):
+        raise ValueError("lifting requires a connected source")
+    if not 0 <= f0 < f.source.n_objects:
+        raise ValueError(f"unknown source object id {f0}")
+    if not 0 <= seed < p.total.n_objects:
+        raise ValueError(f"unknown total object id {seed}")
+    if f.obj_map[f0] != p.morphism.obj_map[seed]:
+        raise ValueError("seed does not lie over the image of the source "
+                         "object")
+    piece = reference_seeded_lift(p, f, f0, seed)
+    return None if piece is None else reference_glued_lift(p, f, [piece])
+
+
+def reference_glued_lift(p: Covering, f: GroupoidMorphism,
+                         pieces) -> GroupoidMorphism:
+    """The lift of f through p glued from ``pieces``; one that is not
+    functorial or does not lie over f raises :class:`TheoremViolation`."""
+    g = glue_morphism(f.source, p.total, pieces)
+    if not g.is_functorial():
+        raise TheoremViolation("glued lift is not functorial")
+    if compose_morphisms(p.morphism, g) != f:
+        raise TheoremViolation("glued lift does not cover the requested "
+                               "morphism")
+    return g
+
+
+def reference_covering_morphisms(p: Covering, q: Covering,
+                                 cap: int = 100000):
+    """All morphisms total(p) -> total(q) commuting with the projections
+    to the common base, in a canonical order.
+
+    A candidate is determined per component of total(p) by the image of
+    that component's least object, which must be a fiber object of q whose
+    pushforward loop group absorbs the component's; everything else is
+    forced by unique lifting.
+    """
+    if p.base != q.base:
+        raise ValueError("coverings must share a base")
+    per_block = []
+    for block in components(p.total).blocks:
+        root = block[0]
+        pieces = (reference_seeded_lift(q, p.morphism, root, cand)
+                  for cand in q.fibers[p.morphism.obj_map[root]])
+        per_block.append([piece for piece in pieces if piece is not None])
+    count = 1
+    for pieces in per_block:
+        count *= len(pieces)
+        if count > cap:
+            raise ValueError(f"morphism enumeration exceeds cap {cap}")
+    return [glue_morphism(p.total, q.total, combo)
+            for combo in itertools.product(*per_block)]
+
+
+def reference_iso_over(f: GroupoidMorphism, q: Covering):
+    """An isomorphism g: f.source -> total(q) with q∘g = f, or None.
+
+    Each component of f.source is lifted at most once per component of
+    total(q) of its size, seeded at that component's first fiber object
+    passing the lifting criterion (for the covering projections f passed
+    here, equal sizes make it equality of loop images); the first
+    assignment of distinct target components, in ascending order, is
+    glued.  A glued lift that is not functorial or does not cover f raises
+    :class:`TheoremViolation`; a non-bijective one gives None.
+    """
+    src, total = f.source, q.total
+    q_parts = components(total)
+    options = []
+    for block in components(src).blocks:
+        root = block[0]
+        pieces = {}
+        for cand in q.fibers[f.obj_map[root]]:
+            j = q_parts.index[cand]
+            if j in pieces or len(q_parts.blocks[j]) != len(block):
+                continue
+            piece = reference_seeded_lift(q, f, root, cand)
+            if piece is not None:
+                pieces[j] = piece
+        options.append(sorted(pieces.items()))
+
+    def backtrack(i, used, acc):
+        if i == len(options):
+            return acc
+        for j, piece in options[i]:
+            if j not in used:
+                got = backtrack(i + 1, used | {j}, acc + [piece])
+                if got is not None:
+                    return got
+        return None
+
+    combo = backtrack(0, frozenset(), [])
+    if combo is None:
+        return None
+    g = reference_glued_lift(q, f, combo)
+    return g if g.is_bijective() else None
+
+
 def reference_seeded_iso_over(p, f):
     """An isomorphism g: f.source -> total(p) with p∘g = f, found by
     seeding unique lifting at every fiber object with matching loop-image
@@ -304,7 +433,7 @@ def reference_seeded_iso_over(p, f):
         cand_imgs = {p.morphism.arr_map[a] for a in p.total.loops(cand)}
         if loop_imgs != cand_imgs:
             continue
-        g = lift_morphism(p, f, root, cand)
+        g = reference_lift_morphism(p, f, root, cand)
         if g is not None and g.is_bijective():
             return g
     return None
@@ -337,7 +466,7 @@ def reference_find_covering_isomorphism(p, q):
                              for a in q.total.loops(cand)}
                 if loop_imgs != cand_imgs:
                     continue
-                piece = _seeded_lift(q, p.morphism, root, cand)
+                piece = reference_seeded_lift(q, p.morphism, root, cand)
                 found.append((j, piece))
         return found
 
