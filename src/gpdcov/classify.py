@@ -16,11 +16,14 @@ naming the clause, as each is a theorem.
 Naming note: on the subgroup side, meet = intersection and join =
 generated subgroup.  Geometrically the meet corresponds to the marked
 component of the fibered product over G, and the join to the pushout
-under the universal cover.  Both laws are checked as identities of orbit
-partitions of total(u).  The orbit morphisms of Π_a and Π_b pair it onto
-the marked component, with the (Π_a ∩ Π_b)-orbits as fibers.  The
-pushout of two orbit morphisms identifies what either identifies, so it
-joins their partitions, with no group of transformations in between.
+under the universal cover.  The orbit morphisms of Π_a and Π_b pair U =
+total(u) onto the marked component, with the (Π_a ∩ Π_b)-orbits as fibers.
+The pushout of two orbit morphisms joins their partitions.
+
+The lattice's pair laws are read on U's objects alone, exactly: a map of
+coverings over G that is bijective on objects is an isomorphism (star maps
+are bijective and unique lifting forces the arrow map: Brown, *Topology
+and Groupoids*, ch. 10), and every node is covering-checked once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .covering import (Covering, GroupoidMorphism, _lift_walk,
                        fold, lift_morphism, verified_covering)
 from .construct import (OrbitGroupoid, orbit_groupoid, quotient_covering,
                         universal_cover)
-from .groupoid import FiniteGroupoid, is_connected, partition, vertex_group
+from .groupoid import (FiniteGroupoid, generators, is_connected, partition,
+                       vertex_group)
 from .groups import Subgroup, find_isomorphism
 from .transform import covering_transformations, is_regular
 
@@ -296,6 +300,10 @@ def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:
     return node
 
 
+_MEET_LAW = ("pullback component is not equivalent to the intersection "
+             "node (lattice meet law)")
+
+
 def build_lattice(g: FiniteGroupoid, g0: int = 0) -> GaloisLattice:
     """Construct and verify the full classification lattice over g.
 
@@ -355,31 +363,70 @@ def _verify_lattice(lat: GaloisLattice):
             raise TheoremViolation(
                 "vertex group of a quotient is not isomorphic to its "
                 "subgroup (clause: quotient vertex group)")
+    includes, meets, joins = _object_laws(lat)
     for i in range(n):
         for j in range(n):
-            include = lat.subgroup_leq(i, j)
-            # order reversal, verified geometrically: a projection from
-            # quotient_i onto quotient_j exists iff Π_i ⊆ Π_j
-            has_map = _orbit_map_exists(lat.nodes[i], lat.nodes[j])
-            if has_map != include:
+            if includes(i, j) != lat.subgroup_leq(i, j):
                 raise TheoremViolation(
                     "covering order does not mirror reversed subgroup "
                     "inclusion (clause: order reversal)")
-            meet_covering(lat.nodes[i], lat.nodes[j])  # the meet law
-            _check_join(lat.nodes[i].orbit, lat.nodes[j].orbit,
-                        lat.nodes[lat.join(i, j)].orbit)
+            if not meets(i, j, lat.meet(i, j)):
+                raise TheoremViolation(_MEET_LAW)
+            if not joins(i, j, lat.join(i, j)):
+                raise TheoremViolation("pushout quotient differs from the "
+                                       "join node (clause: join law)")
+
+
+def _object_laws(lat: GaloisLattice):
+    """The pair laws on U's objects, as ``includes(i, j)``, ``meets(i, j,
+    k)`` and ``joins(i, j, k)``, k the candidate node.  Exact: each node is
+    covering-checked, so an arrow block is fixed by its base arrow and its
+    codomain's block.  Read once per node: labels o (orbit projection on
+    U's objects), block count, transports (x to dom witnesses[x][g], g a
+    base generator) and freeness (arrow blocks as large as their domain's).
+    Order: Π_i ⊆ Π_j iff i-labels refine j-labels.  Meet:
+    :func:`_check_meet` on objects; the marked component is the orbit of
+    (o_j(mark), o_i(mark)) under paired transports.  Join: k is free and
+    labelled by the union-find join of the i- and j-labels."""
+    base, mark = lat.base, lat.universal.mark
+    gens = generators(base) or base.arrows
+    into = [[g for g in gens if base.cod[g] == y] for y in base.objects]
+    labels = [n.orbit.projection.obj_map for n in lat.nodes]
+    blocks = [len(n.orbit.obj_orbits) for n in lat.nodes]
+    dom = lat.universal.total.dom
+    free = [all(len(b) == len(o.obj_orbits[o.projection.obj_map[dom[b[0]]]])
+                for b in o.arr_orbits) for o in (n.orbit for n in lat.nodes)]
+    moves = [[[p.total.dom[p.witnesses[x][g]] for g in into[y]]
+              for x, y in enumerate(p.morphism.obj_map)]
+             for p in (n.covering for n in lat.nodes)]
+
+    def includes(i, j):
+        return len(set(zip(labels[i], labels[j]))) == blocks[i]
+
+    def meets(i, j, k):
+        walk = [(labels[j][mark], labels[i][mark])]
+        seen = set(walk)
+        for y, x in walk:  # grows while it is walked
+            walk += (new := set(zip(moves[j][y], moves[i][x])) - seen)
+            seen |= new
+        return seen == set(zip(labels[j], labels[i])) and len(seen) == \
+            blocks[k] == len(set(zip(labels[j], labels[i], labels[k])))
+
+    def joins(i, j, k):
+        oi, oj = labels[i], labels[j]
+        rep = dict(zip(oj, oi))  # j-label -> an i-label that shares it
+        part = partition(blocks[i], set(zip(oi, map(rep.__getitem__, oj))))
+        return free[k] and tuple(map(part.index.__getitem__, oi)) == labels[k]
+    return includes, meets, joins
 
 
 def _check_meet(a: CoveringClass, b: CoveringClass, k: CoveringClass):
-    """Meet law on a pair: k's quotient is the marked component C of the
-    fibered product of a's and b's coverings, walked from the marks.
-    Exact: φ = (π_b, π_a) maps U = total(u) into C by a functor over G
-    (both projections are covering-checked).  The walked pairs must be
-    φ(U), so φ is onto C, and φ must partition U as k's orbits do, so
-    U/Π_k -> C is injective, and a functor, as :func:`quotient_covering`
-    gave each arrow block of k one member out of each object of its
-    domain block.  So C ≅ k as pointed coverings, on every object and
-    arrow.  As Π_a z ∩ Π_b z = (Π_a ∩ Π_b) z for a free action, φ's
+    """Meet law on a pair, on every object and arrow: k's quotient is the
+    marked component C of the fibered product of a's and b's coverings,
+    walked from the marks.  The walked pairs must be φ(U) for φ = (π_b,
+    π_a), a functor over G, so φ is onto C, and φ must partition U as k's
+    orbits do, so U/Π_k -> C is bijective, hence C ≅ k as pointed
+    coverings.  As Π_a z ∩ Π_b z = (Π_a ∩ Π_b) z for a free action, φ's
     fibers are the intersection's orbits: a conjugate of k fails."""
     pa, pb, pk = a.orbit.projection, b.orbit.projection, k.orbit.projection
     m = a.orbit.covering.mark
@@ -391,36 +438,4 @@ def _check_meet(a: CoveringClass, b: CoveringClass, k: CoveringClass):
         image = list(zip(mb, ma))  # φ on U's objects, then on its arrows
         if set(image) != seen or len(seen) != len(set(mk)) \
                 or len(seen) != len(set(zip(image, mk))):
-            raise TheoremViolation(
-                "pullback component is not equivalent to the intersection "
-                "node (lattice meet law)")
-
-
-def _check_join(a: OrbitGroupoid, b: OrbitGroupoid, k: OrbitGroupoid):
-    """Join law on a pair: k's orbits join a's and b's, and each arrow block
-    of k is as large as its domain's object block (a free action).  Exact:
-    the pushout's quotient is a function of the joined partitions, as k's
-    (covering-checked with k) is of k's, and order reversal checks its legs.
-    Blocks are numbered by least member: a least a-label names its block."""
-    pa, pb, pk = a.projection, b.projection, k.projection
-    same = True
-    for ma, mb, mk in zip(*[(p.obj_map, p.arr_map) for p in (pa, pb, pk)]):
-        rep = dict(zip(mb, ma))  # b-label -> an a-label that shares it
-        part = partition(max(ma) + 1, set(zip(ma, map(rep.__getitem__, mb))))
-        same = same and tuple(map(part.index.__getitem__, ma)) == mk
-    dom, objs = pa.source.dom, k.obj_orbits
-    if not same or any(len(blk) != len(objs[pk.obj_map[dom[blk[0]]]])
-                       for blk in k.arr_orbits):
-        raise TheoremViolation("pushout quotient differs from the join "
-                               "node (clause: join law)")
-
-
-def _orbit_map_exists(a: CoveringClass, b: CoveringClass) -> bool:
-    """Whether quotient_a projects onto quotient_b compatibly with the two
-    orbit morphisms (possible iff the a-orbits refine the b-orbits)."""
-    try:
-        m = factor_through(a.orbit.projection, b.orbit.projection)
-    except ValueError:
-        return False
-    verified_covering(m, "induced projection between quotients")
-    return True
+            raise TheoremViolation(_MEET_LAW)

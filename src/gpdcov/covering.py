@@ -516,20 +516,25 @@ def _lift_walk(p: Covering, f: GroupoidMorphism, start):
     breadth first: each arrow a into a reached s lifts to the arrow b into
     t over f(a), read from ``p.witnesses[t]``, and reaches (dom a, dom b).
     Returns the reached pairs, ``start`` first, and one (a, b, i, j) per
-    arrow, where i and j index the pairs of dom a and of a's codomain."""
+    arrow, where i and j index the pairs of dom a and of a's codomain.
+    A read off the fiber (inconsistent witnesses) names s, as _lifter."""
     into, fdom, pdom = f.source._into, f.source.dom, p.total.dom
     f_arr, wit = f.arr_map, p.witnesses
     pos = {start: 0}
     pairs, arrows = [start], []
-    for j, (s, t) in enumerate(pairs):  # grows while it is walked
-        lift = wit[t]
-        for a in into[s]:
-            b = lift[f_arr[a]]
-            d = (fdom[a], pdom[b])
-            i = pos.setdefault(d, len(pairs))
-            if i == len(pairs):
-                pairs.append(d)
-            arrows.append((a, b, i, j))
+    try:
+        for j, (s, t) in enumerate(pairs):  # grows while it is walked
+            lift = wit[t]
+            for a in into[s]:
+                b = lift[f_arr[a]]
+                d = (fdom[a], pdom[b])
+                i = pos.setdefault(d, len(pairs))
+                if i == len(pairs):
+                    pairs.append(d)
+                arrows.append((a, b, i, j))
+    except KeyError:
+        raise TheoremViolation(
+            f"lift propagation inconsistent at object {s}") from None
     return pairs, arrows
 
 

@@ -15,11 +15,11 @@ from gpdcov import (FiniteGroupoid, GroupoidMorphism, TheoremViolation,
                     meet_covering, pullback_covering, pushout_covering,
                     trivial_groupoid, universal_cover, verified_covering,
                     vertex_group)
-from gpdcov.classify import (GaloisLattice, PushoutResult, _check_join,
+from gpdcov.classify import (CoveringClass, GaloisLattice, PushoutResult,
                              _check_meet, _induced_on_quotient,
-                             _same_image_pairs)
+                             _object_laws, _same_image_pairs)
 from gpdcov.cli import main
-from gpdcov.construct import GroupAction, orbit_groupoid
+from gpdcov.construct import GroupAction, OrbitGroupoid, orbit_groupoid
 from gpdcov.covering import _lift_walk, covering_of_lifts, factor_through
 from gpdcov.documents import load_groupoid
 from gpdcov.groupoid import partition
@@ -325,6 +325,38 @@ def test_pushout_rejects_a_non_free_joint_action(c4_univ):
         (tuple(u.arrows), arr_map)))
     with pytest.raises(ValueError, match="act freely together"):
         pushout_covering(c4_univ, orb.covering)
+
+
+# -- the per-pair clauses of build_lattice before the object pass, verbatim ---
+
+def _check_join(a: OrbitGroupoid, b: OrbitGroupoid, k: OrbitGroupoid):
+    """Join law on a pair: k's orbits join a's and b's, and each arrow block
+    of k is as large as its domain's object block (a free action).  Exact:
+    the pushout's quotient is a function of the joined partitions, as k's
+    (covering-checked with k) is of k's, and order reversal checks its legs.
+    Blocks are numbered by least member: a least a-label names its block."""
+    pa, pb, pk = a.projection, b.projection, k.projection
+    same = True
+    for ma, mb, mk in zip(*[(p.obj_map, p.arr_map) for p in (pa, pb, pk)]):
+        rep = dict(zip(mb, ma))  # b-label -> an a-label that shares it
+        part = partition(max(ma) + 1, set(zip(ma, map(rep.__getitem__, mb))))
+        same = same and tuple(map(part.index.__getitem__, ma)) == mk
+    dom, objs = pa.source.dom, k.obj_orbits
+    if not same or any(len(blk) != len(objs[pk.obj_map[dom[blk[0]]]])
+                       for blk in k.arr_orbits):
+        raise TheoremViolation("pushout quotient differs from the join "
+                               "node (clause: join law)")
+
+
+def _orbit_map_exists(a: CoveringClass, b: CoveringClass) -> bool:
+    """Whether quotient_a projects onto quotient_b compatibly with the two
+    orbit morphisms (possible iff the a-orbits refine the b-orbits)."""
+    try:
+        m = factor_through(a.orbit.projection, b.orbit.projection)
+    except ValueError:
+        return False
+    verified_covering(m, "induced projection between quotients")
+    return True
 
 
 # -- the join clause by joined orbit partitions --------------------------------
@@ -854,3 +886,125 @@ def test_join_table_closes_no_subgroup(s3, monkeypatch):
     n = len(lat)
     assert [[again.join(i, j) for j in range(n)] for i in range(n)] == \
         [[lat.join(i, j) for j in range(n)] for i in range(n)]
+
+
+# -- the pair laws on the universal fiber's objects ----------------------------
+
+ORDER_REVERSAL = "clause: order reversal"
+
+
+def assert_object_laws_agree(lat, every_candidate=True):
+    """On every ordered pair, the object pass of build_lattice gives the
+    verdicts of the per-pair clauses it replaced: _orbit_map_exists on the
+    order, and _check_meet and _check_join on each candidate node (every
+    node, or the table's meet and join nodes only), each true for the
+    table's node alone."""
+    includes, meets, joins = _object_laws(lat)
+    for i, a in enumerate(lat.nodes):
+        for j, b in enumerate(lat.nodes):
+            assert includes(i, j) == _orbit_map_exists(a, b) == \
+                lat.subgroup_leq(i, j)
+            meet, join = lat.meet(i, j), lat.join(i, j)
+            for k in range(len(lat)) if every_candidate else {meet, join}:
+                node = lat.nodes[k]
+                assert meets(i, j, k) == \
+                    meet_verdict(_check_meet, a, b, node) == (k == meet)
+                assert joins(i, j, k) == join_clause_holds(a, b, node) == \
+                    (k == join)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_object_laws_match_the_per_pair_clauses(name):
+    assert_object_laws_agree(lattice_of(name))
+
+
+def test_the_meet_walk_must_reach_the_image_alone(lat_s3):
+    """The meet law's walk clause alone: a twin of an order-2 node keeps
+    its labels, but its covering is relabelled by the permutation σ of
+    its quotient's objects that fixes the marked one.  The product with
+    the node then pairs the marks' orbit as {(σ(x), x)}, as large as the
+    image {(x, x)} of U, with as many blocks, but not the same set."""
+    r = next(k for k, n in enumerate(lat_s3.nodes) if n.subgroup.order == 2)
+    node, twin_id = lat_s3.nodes[r], len(lat_s3)
+    labels, p = node.orbit.projection.obj_map, node.covering
+    fixed = labels[lat_s3.universal.mark]
+    b, c = sorted(set(labels) - {fixed})
+    sigma = {fixed: fixed, b: c, c: b}
+    twin = SimpleNamespace(orbit=node.orbit, covering=SimpleNamespace(
+        total=SimpleNamespace(dom=[sigma[x] for x in p.total.dom]),
+        witnesses={sigma[x]: w for x, w in enumerate(p.witnesses)},
+        morphism=SimpleNamespace(obj_map=p.morphism.obj_map)))
+    includes, meets, joins = _object_laws(SimpleNamespace(
+        base=lat_s3.base, universal=lat_s3.universal,
+        nodes=(*lat_s3.nodes, twin)))
+    assert includes(r, twin_id) and joins(r, twin_id, r)
+    assert meets(r, r, r)
+    assert not meets(r, twin_id, r)
+
+
+def test_the_pair_laws_read_no_arrow_of_u(s3, monkeypatch):
+    """Past the per-node checks, the lattice is verified with no
+    factor_through, covering check or lift walk, and every partition it
+    makes is of object labels."""
+    import gpdcov.classify as classify
+    lat = build_lattice(s3, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by the pair laws")
+
+    for name in ("factor_through", "verified_covering", "_lift_walk",
+                 "_check_meet", "meet_covering"):
+        monkeypatch.setattr(classify, name, refuse)
+    sizes, part = [], classify.partition
+    monkeypatch.setattr(classify, "partition",
+                        lambda n, pairs: sizes.append(n) or part(n, pairs))
+    classify._verify_lattice(lat)
+    assert len(sizes) == len(lat) ** 2
+    assert max(sizes) == lat.universal.total.n_objects < \
+        lat.universal.total.n_arrows
+
+
+def reverse_the_subgroup_order(monkeypatch):
+    leq = GaloisLattice.subgroup_leq
+    monkeypatch.setattr(GaloisLattice, "subgroup_leq",
+                        lambda self, i, j: leq(self, j, i))
+
+
+def name_the_join_as_meet(monkeypatch):
+    monkeypatch.setattr(GaloisLattice, "meet", GaloisLattice.join)
+
+
+def name_a_conjugate_as_meet(monkeypatch):
+    """Where the meet is an order-2 node, name another one: the three are
+    conjugate in S3, so their quotients are equivalent coverings."""
+    meet = GaloisLattice.meet
+
+    def conjugate(self, i, j):
+        k = meet(self, i, j)
+        twos = [m for m, n in enumerate(self.nodes) if n.subgroup.order == 2]
+        return {twos[0]: twos[1], twos[1]: twos[0]}.get(k, k)
+
+    monkeypatch.setattr(GaloisLattice, "meet", conjugate)
+
+
+PAIR_CORRUPTIONS = [(reverse_the_subgroup_order, ORDER_REVERSAL),
+                    (name_the_join_as_meet, MEET_LAW),
+                    (name_a_conjugate_as_meet, MEET_LAW)]
+
+
+@pytest.mark.parametrize("corrupt, clause", PAIR_CORRUPTIONS)
+def test_build_lattice_raises_each_pair_clause(s3, monkeypatch, corrupt,
+                                               clause):
+    corrupt(monkeypatch)
+    with pytest.raises(TheoremViolation, match=clause):
+        build_lattice(s3, 0)
+
+
+@pytest.mark.parametrize("corrupt, clause", PAIR_CORRUPTIONS)
+def test_cli_exits_3_on_each_pair_clause(capsys, monkeypatch, corrupt,
+                                         clause):
+    corrupt(monkeypatch)
+    assert main(["lattice", str(FIXTURES / "s3.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert clause in captured.err
