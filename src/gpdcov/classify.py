@@ -23,7 +23,11 @@ The pushout of two orbit morphisms joins their partitions.
 The lattice's pair laws are read on U's objects alone, exactly: a map of
 coverings over G that is bijective on objects is an isomorphism (star maps
 are bijective and unique lifting forces the arrow map: Brown, *Topology
-and Groupoids*, ch. 10), and every node is covering-checked once.
+and Groupoids*, ch. 10), and every node is covering-checked once.  The
+meet law has one implementation, :func:`_meet_holds`, which reads the two
+nodes' fiber actions (:func:`~gpdcov.covering.transports`) and the
+candidate's labels; :func:`build_lattice` runs it on every ordered pair and
+:func:`meet_covering` on the one pair it is asked for.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ import weakref
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .covering import (Covering, GroupoidMorphism, _lift_walk,
-                       compose_morphisms, covering_of_lifts, factor_through,
-                       fold, lift_morphism, verified_covering)
+from .covering import (Covering, GroupoidMorphism, compose_morphisms,
+                       covering_of_lifts, factor_through, fold,
+                       lift_morphism, transports, verified_covering)
 from .construct import (OrbitGroupoid, orbit_groupoid, quotient_covering,
                         universal_cover)
 from .groupoid import (FiniteGroupoid, generators, is_connected, partition,
@@ -291,12 +295,14 @@ def classify_covering(lattice: GaloisLattice, q: Covering) -> CoveringClass:
 
 
 def meet_covering(a: CoveringClass, b: CoveringClass) -> CoveringClass:
-    """The node of the subgroup intersection, verified by _check_meet."""
+    """The node of the subgroup intersection, verified by the meet law
+    (:func:`_meet_holds`), which reads a, b and that node alone."""
     if a.lattice is None or a.lattice is not b.lattice:
         raise ValueError("classes must belong to one lattice")
     lat = a.lattice
     node = lat.nodes[lat.meet(lat.index_of(a), lat.index_of(b))]
-    _check_meet(a, b, node)
+    if not _meet_holds(a, b, node):
+        raise TheoremViolation(_MEET_LAW)
     return node
 
 
@@ -363,14 +369,15 @@ def _verify_lattice(lat: GaloisLattice):
             raise TheoremViolation(
                 "vertex group of a quotient is not isomorphic to its "
                 "subgroup (clause: quotient vertex group)")
-    includes, meets, joins = _object_laws(lat)
+    includes, joins = _object_laws(lat)
+    nodes = lat.nodes
     for i in range(n):
         for j in range(n):
             if includes(i, j) != lat.subgroup_leq(i, j):
                 raise TheoremViolation(
                     "covering order does not mirror reversed subgroup "
                     "inclusion (clause: order reversal)")
-            if not meets(i, j, lat.meet(i, j)):
+            if not _meet_holds(nodes[i], nodes[j], nodes[lat.meet(i, j)]):
                 raise TheoremViolation(_MEET_LAW)
             if not joins(i, j, lat.join(i, j)):
                 raise TheoremViolation("pushout quotient differs from the "
@@ -378,64 +385,52 @@ def _verify_lattice(lat: GaloisLattice):
 
 
 def _object_laws(lat: GaloisLattice):
-    """The pair laws on U's objects, as ``includes(i, j)``, ``meets(i, j,
-    k)`` and ``joins(i, j, k)``, k the candidate node.  Exact: each node is
+    """The order and join laws on U's objects, as ``includes(i, j)`` and
+    ``joins(i, j, k)``, k the candidate node.  Exact: each node is
     covering-checked, so an arrow block is fixed by its base arrow and its
     codomain's block.  Read once per node: labels o (orbit projection on
-    U's objects), block count, transports (x to dom witnesses[x][g], g a
-    base generator) and freeness (arrow blocks as large as their domain's).
-    Order: Π_i ⊆ Π_j iff i-labels refine j-labels.  Meet:
-    :func:`_check_meet` on objects; the marked component is the orbit of
-    (o_j(mark), o_i(mark)) under paired transports.  Join: k is free and
-    labelled by the union-find join of the i- and j-labels."""
-    base, mark = lat.base, lat.universal.mark
-    gens = generators(base) or base.arrows
-    into = [[g for g in gens if base.cod[g] == y] for y in base.objects]
+    U's objects), block count and freeness (arrow blocks as large as their
+    domain's).  Order: Π_i ⊆ Π_j iff i-labels refine j-labels.  Join: k is
+    free and labelled by the union-find join of the i- and j-labels.  The
+    meet law reads only its pair and is :func:`_meet_holds`."""
     labels = [n.orbit.projection.obj_map for n in lat.nodes]
     blocks = [len(n.orbit.obj_orbits) for n in lat.nodes]
     dom = lat.universal.total.dom
     free = [all(len(b) == len(o.obj_orbits[o.projection.obj_map[dom[b[0]]]])
                 for b in o.arr_orbits) for o in (n.orbit for n in lat.nodes)]
-    moves = [[[p.total.dom[p.witnesses[x][g]] for g in into[y]]
-              for x, y in enumerate(p.morphism.obj_map)]
-             for p in (n.covering for n in lat.nodes)]
 
     def includes(i, j):
         return len(set(zip(labels[i], labels[j]))) == blocks[i]
-
-    def meets(i, j, k):
-        walk = [(labels[j][mark], labels[i][mark])]
-        seen = set(walk)
-        for y, x in walk:  # grows while it is walked
-            walk += (new := set(zip(moves[j][y], moves[i][x])) - seen)
-            seen |= new
-        return seen == set(zip(labels[j], labels[i])) and len(seen) == \
-            blocks[k] == len(set(zip(labels[j], labels[i], labels[k])))
 
     def joins(i, j, k):
         oi, oj = labels[i], labels[j]
         rep = dict(zip(oj, oi))  # j-label -> an i-label that shares it
         part = partition(blocks[i], set(zip(oi, map(rep.__getitem__, oj))))
         return free[k] and tuple(map(part.index.__getitem__, oi)) == labels[k]
-    return includes, meets, joins
+    return includes, joins
 
 
-def _check_meet(a: CoveringClass, b: CoveringClass, k: CoveringClass):
-    """Meet law on a pair, on every object and arrow: k's quotient is the
-    marked component C of the fibered product of a's and b's coverings,
-    walked from the marks.  The walked pairs must be φ(U) for φ = (π_b,
-    π_a), a functor over G, so φ is onto C, and φ must partition U as k's
-    orbits do, so U/Π_k -> C is bijective, hence C ≅ k as pointed
-    coverings.  As Π_a z ∩ Π_b z = (Π_a ∩ Π_b) z for a free action, φ's
-    fibers are the intersection's orbits: a conjugate of k fails."""
-    pa, pb, pk = a.orbit.projection, b.orbit.projection, k.orbit.projection
-    m = a.orbit.covering.mark
-    objs, walk = _lift_walk(a.covering, b.covering.morphism,
-                            (pb.obj_map[m], pa.obj_map[m]))
-    walked = (set(objs), {(u, v) for u, v, _, _ in walk})
-    for seen, mb, ma, mk in zip(walked, *[(p.obj_map, p.arr_map)
-                                          for p in (pb, pa, pk)]):
-        image = list(zip(mb, ma))  # φ on U's objects, then on its arrows
-        if set(image) != seen or len(seen) != len(set(mk)) \
-                or len(seen) != len(set(zip(image, mk))):
-            raise TheoremViolation(_MEET_LAW)
+def _meet_holds(a: CoveringClass, b: CoveringClass,
+                k: CoveringClass) -> bool:
+    """The meet law on one pair, on U's objects: k's quotient is the marked
+    component C of the fibered product of a's and b's coverings.  C's
+    objects are the orbit of the marks' pair (o_b(mark), o_a(mark)) under
+    the paired transports of the base generators (every arrow when there
+    is none), o the labels of the orbit projections.  That orbit must be
+    φ(U) for φ = (o_b, o_a), a functor over G, so φ is onto C, and φ must
+    partition U's objects as k's labels o_k do, so U/Π_k -> C is bijective
+    on objects, hence an isomorphism (module docstring).  As Π_a z ∩ Π_b z
+    = (Π_a ∩ Π_b) z for a free action, φ's fibers are the intersection's
+    orbits: a conjugate of k fails.  Reads a, b and k alone."""
+    la, lb, lk = (n.orbit.projection.obj_map for n in (a, b, k))
+    ta, tb = transports(a.covering), transports(b.covering)
+    base, mark = a.covering.base, a.orbit.covering.mark
+    gens = generators(base) or base.arrows
+    walk = [(lb[mark], la[mark])]
+    seen = set(walk)
+    for y, x in walk:  # grows while it is walked
+        walk += (new := {(tb[g][y], ta[g][x]) for g in gens
+                         if x in ta[g]} - seen)
+        seen |= new
+    return seen == set(zip(lb, la)) and len(seen) == \
+        len(k.orbit.obj_orbits) == len(set(zip(lb, la, lk)))

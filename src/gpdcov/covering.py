@@ -9,6 +9,9 @@ spanning tree, one lookup per arrow, and certified once by whole tuples.
 A :class:`Covering` is read-only.  It takes its marked object at
 construction and also keeps ``mark`` (the marked object, or 0 when none is
 set) and ``fibers[y]`` (the total objects over base object y, ascending).
+Its fiber action, :func:`transports`, is read from the witnesses once and
+kept: every object-level reader (fiber transport, monodromy, the topos
+constructions and the lattice's meet law) reads it.
 A covering the library builds is checked once, by one of two
 constructors: :func:`covering_of_lifts` for one given by its lifts, and
 :func:`verified_covering`, which runs :func:`check_covering`, for one
@@ -226,7 +229,8 @@ class Covering:
     :func:`covering_of_lifts` to build one.
     """
 
-    __slots__ = ("morphism", "witnesses", "marked_object", "mark", "fibers")
+    __slots__ = ("morphism", "witnesses", "marked_object", "mark", "fibers",
+                 "_transports")
 
     def __init__(self, morphism: GroupoidMorphism, witnesses,
                  marked_object=None):
@@ -239,7 +243,8 @@ class Covering:
                  tuple(MappingProxyType(dict(w)) for w in witnesses)),
                 ("marked_object", marked_object),
                 ("mark", 0 if marked_object is None else marked_object),
-                ("fibers", tuple(map(tuple, fibers)))):
+                ("fibers", tuple(map(tuple, fibers))),
+                ("_transports", None)):  # filled by transports()
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -268,6 +273,19 @@ class Covering:
 
     def __repr__(self):
         return f"Covering({self.total!r} -> {self.base!r})"
+
+
+def transports(p: Covering) -> tuple:
+    """The fiber action of p: for each base arrow g, a read-only mapping
+    from each object x of ``p.fibers[cod g]``, in fiber order, to x·g =
+    dom(lift of g into x).  Read from the witnesses on first use and kept
+    on p, as :func:`~gpdcov.groupoid.generators` is kept per groupoid."""
+    if p._transports is None:
+        dom, wit, fibers = p.total.dom, p.witnesses, p.fibers
+        object.__setattr__(p, "_transports", tuple(
+            MappingProxyType({x: dom[wit[x][g]] for x in fibers[y]})
+            for g, y in enumerate(p.base.cod)))
+    return p._transports
 
 
 def check_covering(f: GroupoidMorphism, marked_object=None):
@@ -485,11 +503,12 @@ class FiberTransport:
 
 
 def fiber_transport(p: Covering, f_arrow: int) -> FiberTransport:
-    base = p.base
+    base, total = p.base, p.total
+    if not 0 <= f_arrow < base.n_arrows:
+        raise ValueError(f"unknown base arrow id {f_arrow}")
     src = fiber(p, base.cod[f_arrow])
     dst = fiber(p, base.dom[f_arrow])
-    total = p.total
-    obj_map = {x: total.dom[p.lift(f_arrow, x)] for x in src.objects}
+    obj_map = dict(transports(p)[f_arrow])
     # a fiber holds only identities, and a⁻¹∘id(cod a)∘a = id(dom a)
     arr_map = {s: total.identity[obj_map[total.dom[s]]] for s in src.arrows}
     return FiberTransport(along=f_arrow, source=src, target=dst,
@@ -509,33 +528,6 @@ def pushforward_vertex(p: Covering, x: int) -> Subgroup:
             "is inconsistent")
     vg = vertex_group(p.base, f.obj_map[x])
     return Subgroup(vg, (vg.index_by_arrow[a] for a in images))
-
-
-def _lift_walk(p: Covering, f: GroupoidMorphism, start):
-    """Unique lifting of f through p from ``start`` = (s, t), f(s) = p(t),
-    breadth first: each arrow a into a reached s lifts to the arrow b into
-    t over f(a), read from ``p.witnesses[t]``, and reaches (dom a, dom b).
-    Returns the reached pairs, ``start`` first, and one (a, b, i, j) per
-    arrow, where i and j index the pairs of dom a and of a's codomain.
-    A read off the fiber (inconsistent witnesses) names s, as _lifter."""
-    into, fdom, pdom = f.source._into, f.source.dom, p.total.dom
-    f_arr, wit = f.arr_map, p.witnesses
-    pos = {start: 0}
-    pairs, arrows = [start], []
-    try:
-        for j, (s, t) in enumerate(pairs):  # grows while it is walked
-            lift = wit[t]
-            for a in into[s]:
-                b = lift[f_arr[a]]
-                d = (fdom[a], pdom[b])
-                i = pos.setdefault(d, len(pairs))
-                if i == len(pairs):
-                    pairs.append(d)
-                arrows.append((a, b, i, j))
-    except KeyError:
-        raise TheoremViolation(
-            f"lift propagation inconsistent at object {s}") from None
-    return pairs, arrows
 
 
 def _lifter(p: Covering, f: GroupoidMorphism, root: int):
@@ -636,7 +628,8 @@ def lift_morphism(p: Covering, f: GroupoidMorphism, f0: int,
 
 class MonodromyAction:
     """The right action of the base vertex group at a base object on the
-    fiber objects over it: x·f = dom(lift of f at x)."""
+    fiber objects over it: x·f = dom(lift of f at x), read from
+    :func:`transports`."""
 
     def __init__(self, covering: Covering, base_object: int):
         if not 0 <= base_object < covering.base.n_objects:
@@ -647,18 +640,20 @@ class MonodromyAction:
         self.base_object = base_object
         self.group: VertexGroup = vertex_group(covering.base, base_object)
         self.carrier = covering.fibers[base_object]
-        total = covering.total
-        self._table = {
-            (x, k): total.dom[covering.lift(self.group.arrows[k], x)]
-            for x in self.carrier for k in range(self.group.order)}
+        moves = transports(covering)
         self._orbits = partition(  # blocks off the carrier are singletons
-            total.n_objects, ((x, y) for (x, _), y in self._table.items()))
+            covering.total.n_objects,
+            (pair for g in self.group.arrows for pair in moves[g].items()))
 
     def act(self, x: int, k: int) -> int:
-        return self._table[(x, k)]
+        if not 0 <= k < self.group.order:
+            raise ValueError(f"unknown vertex group element {k}")
+        return transports(self.covering)[self.group.arrows[k]][x]
 
     def orbit(self, x: int) -> tuple:
         """The orbit of the fiber object x, ascending."""
+        if not 0 <= x < self.covering.total.n_objects:
+            raise ValueError(f"unknown total object id {x}")
         if self.covering.morphism.obj_map[x] != self.base_object:
             raise ValueError(f"object {x} is not in the fiber")
         return self._orbits.blocks[self._orbits.index[x]]

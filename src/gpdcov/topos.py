@@ -27,7 +27,7 @@ from .errors import TheoremViolation
 from .classify import fibered_product
 from .covering import (Covering, GroupoidMorphism, components,
                        compose_morphisms, covering_morphisms,
-                       covering_of_lifts, monodromy, verified_covering)
+                       covering_of_lifts, transports, verified_covering)
 from .groupoid import FiniteGroupoid, component_subgroupoid
 
 
@@ -220,13 +220,12 @@ def exponential(p: Covering, q: Covering) -> ExponentialCovering:
     index = {key: i for i, key in enumerate(objects)}
     # Per base arrow g: the position over cod g of q's transport along g⁻¹
     # of each point over dom g, and p's transport along g.
-    p_dom, q_dom, moves = p.total.dom, q.total.dom, []
+    p_moves, q_moves, moves = transports(p), transports(q), []
     for g in base.arrows:
         where = {y: i for i, y in enumerate(q_fibers[base.cod[g]])}
-        moves.append((tuple(where[q_dom[q.lift(base.inverse[g], y)]]
-                            for y in q_fibers[base.dom[g]]),
-                      {x: p_dom[p.lift(g, x)]
-                       for x in p_fibers[base.cod[g]]}))
+        moves.append((tuple(map(where.__getitem__,
+                                q_moves[base.inverse[g]].values())),
+                      p_moves[g]))
 
     def transported(g: int, cod_obj: int) -> int:
         """Domain object of the unique arrow over g into cod_obj."""
@@ -252,20 +251,20 @@ def exponential(p: Covering, q: Covering) -> ExponentialCovering:
 def group_action_on_exponential(expo: ExponentialCovering, g: int,
                                 obj: int) -> int:
     """Right action of a base loop g on an exponential fiber object:
-    (α·g)(x) = α(x·g⁻¹)·g, evaluated through the two monodromies."""
+    (α·g)(x) = α(x·g⁻¹)·g, evaluated through the two fiber actions."""
     base = expo.covering.base
+    if not 0 <= g < base.n_arrows:
+        raise ValueError(f"unknown base arrow id {g}")
+    if not 0 <= obj < len(expo.objects):
+        raise ValueError(f"unknown exponential object id {obj}")
     c = expo.over(obj)
     if base.dom[g] != c or base.cod[g] != c:
         raise ValueError("arrow is not a loop at the object's base point")
-    act_p = monodromy(expo.first, c)
-    act_q = monodromy(expo.second, c)
-    kg = act_p.group.index_by_arrow[g]
-    kg_inv = act_p.group.inverse(kg)
-    q_fiber = expo.second.fibers[c]
-    amap = dict(zip(q_fiber, expo.assignment(obj)))
-    new_assignment = tuple(
-        act_p.act(amap[act_q.act(x, kg_inv)], kg) for x in q_fiber)
-    return expo.object_for(c, new_assignment)
+    p_move = transports(expo.first)[g]
+    q_move = transports(expo.second)[base.inverse[g]]
+    amap = dict(zip(expo.second.fibers[c], expo.assignment(obj)))
+    return expo.object_for(c, tuple(p_move[amap[y]]  # y = x·g⁻¹, x in order
+                                    for y in q_move.values()))
 
 
 # -- the presheaf dictionary --------------------------------------------------
@@ -310,11 +309,8 @@ class Presheaf:
 
 def covering_to_presheaf(p: Covering) -> Presheaf:
     """Fiber objects with transport: F(x) = Ob(fiber over x), F(g) the
-    object part of the transport along g, read off the lifts of g."""
-    base, dom = p.base, p.total.dom
-    maps = {g: {x: dom[p.lift(g, x)] for x in p.fibers[base.cod[g]]}
-            for g in base.arrows}
-    ps = Presheaf(base, p.fibers, maps)
+    object part of the transport along g, copied from :func:`transports`."""
+    ps = Presheaf(p.base, p.fibers, enumerate(transports(p)))
     ps.validate()
     return ps
 

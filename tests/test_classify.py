@@ -15,18 +15,19 @@ from gpdcov import (FiniteGroupoid, GroupoidMorphism, TheoremViolation,
                     meet_covering, pullback_covering, pushout_covering,
                     trivial_groupoid, universal_cover, verified_covering,
                     vertex_group)
-from gpdcov.classify import (CoveringClass, GaloisLattice, PushoutResult,
-                             _check_meet, _induced_on_quotient,
-                             _object_laws, _same_image_pairs)
+from gpdcov.classify import (_MEET_LAW, CoveringClass, GaloisLattice,
+                             PushoutResult, _induced_on_quotient,
+                             _meet_holds, _object_laws, _same_image_pairs)
 from gpdcov.cli import main
 from gpdcov.construct import GroupAction, OrbitGroupoid, orbit_groupoid
-from gpdcov.covering import _lift_walk, covering_of_lifts, factor_through
+from gpdcov.covering import covering_of_lifts, factor_through, transports
 from gpdcov.documents import load_groupoid
 from gpdcov.groupoid import partition
 from gpdcov.groups import FiniteGroup
 from gpdcov.transform import covering_transformations
 
 from test_index import CORPUS
+from test_lifts import _lift_walk
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -346,6 +347,27 @@ def _check_join(a: OrbitGroupoid, b: OrbitGroupoid, k: OrbitGroupoid):
                        for blk in k.arr_orbits):
         raise TheoremViolation("pushout quotient differs from the join "
                                "node (clause: join law)")
+
+
+def _check_meet(a: CoveringClass, b: CoveringClass, k: CoveringClass):
+    """Meet law on a pair, on every object and arrow: k's quotient is the
+    marked component C of the fibered product of a's and b's coverings,
+    walked from the marks.  The walked pairs must be φ(U) for φ = (π_b,
+    π_a), a functor over G, so φ is onto C, and φ must partition U as k's
+    orbits do, so U/Π_k -> C is bijective, hence C ≅ k as pointed
+    coverings.  As Π_a z ∩ Π_b z = (Π_a ∩ Π_b) z for a free action, φ's
+    fibers are the intersection's orbits: a conjugate of k fails."""
+    pa, pb, pk = a.orbit.projection, b.orbit.projection, k.orbit.projection
+    m = a.orbit.covering.mark
+    objs, walk = _lift_walk(a.covering, b.covering.morphism,
+                            (pb.obj_map[m], pa.obj_map[m]))
+    walked = (set(objs), {(u, v) for u, v, _, _ in walk})
+    for seen, mb, ma, mk in zip(walked, *[(p.obj_map, p.arr_map)
+                                          for p in (pb, pa, pk)]):
+        image = list(zip(mb, ma))  # φ on U's objects, then on its arrows
+        if set(image) != seen or len(seen) != len(set(mk)) \
+                or len(seen) != len(set(zip(image, mk))):
+            raise TheoremViolation(_MEET_LAW)
 
 
 def _orbit_map_exists(a: CoveringClass, b: CoveringClass) -> bool:
@@ -845,7 +867,6 @@ def test_meet_rejects_a_walk_from_a_wrong_pair(monkeypatch, name, i, j,
                                                restart):
     """With the true meet node as k, a walk started at a pair outside the
     marked component fails; started at the pair of marks, it passes."""
-    import gpdcov.classify as classify
     lat = lattice_of(name)
     a, b, k = lat.nodes[i], lat.nodes[j], lat.nodes[lat.meet(i, j)]
     mark = lat.universal.mark
@@ -853,8 +874,8 @@ def test_meet_rejects_a_walk_from_a_wrong_pair(monkeypatch, name, i, j,
              a.orbit.projection.obj_map[mark])
     assert restart(start) != start
     _check_meet(a, b, k)
-    walk = classify._lift_walk
-    monkeypatch.setattr(classify, "_lift_walk",
+    walk = _lift_walk
+    monkeypatch.setitem(globals(), "_lift_walk",
                         lambda p, f, s: walk(p, f, restart(s)))
     with pytest.raises(TheoremViolation, match=MEET_LAW):
         _check_meet(a, b, k)
@@ -894,12 +915,13 @@ ORDER_REVERSAL = "clause: order reversal"
 
 
 def assert_object_laws_agree(lat, every_candidate=True):
-    """On every ordered pair, the object pass of build_lattice gives the
-    verdicts of the per-pair clauses it replaced: _orbit_map_exists on the
-    order, and _check_meet and _check_join on each candidate node (every
-    node, or the table's meet and join nodes only), each true for the
-    table's node alone."""
-    includes, meets, joins = _object_laws(lat)
+    """On every ordered pair, the object-level laws of build_lattice give
+    the verdicts of the per-pair clauses they replaced: _orbit_map_exists
+    on the order, and _check_meet and _check_join on each candidate node
+    (every node, or the table's meet and join nodes only), each true for
+    the table's node alone.  The meet law is _meet_holds, which
+    meet_covering runs too."""
+    includes, joins = _object_laws(lat)
     for i, a in enumerate(lat.nodes):
         for j, b in enumerate(lat.nodes):
             assert includes(i, j) == _orbit_map_exists(a, b) == \
@@ -907,7 +929,7 @@ def assert_object_laws_agree(lat, every_candidate=True):
             meet, join = lat.meet(i, j), lat.join(i, j)
             for k in range(len(lat)) if every_candidate else {meet, join}:
                 node = lat.nodes[k]
-                assert meets(i, j, k) == \
+                assert _meet_holds(a, b, node) == \
                     meet_verdict(_check_meet, a, b, node) == (k == meet)
                 assert joins(i, j, k) == join_clause_holds(a, b, node) == \
                     (k == join)
@@ -918,28 +940,31 @@ def test_object_laws_match_the_per_pair_clauses(name):
     assert_object_laws_agree(lattice_of(name))
 
 
-def test_the_meet_walk_must_reach_the_image_alone(lat_s3):
+def test_the_meet_walk_must_reach_the_image_alone(lat_s3, monkeypatch):
     """The meet law's walk clause alone: a twin of an order-2 node keeps
-    its labels, but its covering is relabelled by the permutation σ of
-    its quotient's objects that fixes the marked one.  The product with
-    the node then pairs the marks' orbit as {(σ(x), x)}, as large as the
-    image {(x, x)} of U, with as many blocks, but not the same set."""
+    its labels, but its covering's transports are relabelled by the
+    permutation σ of its quotient's objects that fixes the marked one.
+    The product with the node then pairs the marks' orbit as {(σ(x), x)},
+    as large as the image {(x, x)} of U, with as many blocks, but not the
+    same set."""
+    import gpdcov.classify as classify
     r = next(k for k, n in enumerate(lat_s3.nodes) if n.subgroup.order == 2)
     node, twin_id = lat_s3.nodes[r], len(lat_s3)
-    labels, p = node.orbit.projection.obj_map, node.covering
+    labels = node.orbit.projection.obj_map
     fixed = labels[lat_s3.universal.mark]
     b, c = sorted(set(labels) - {fixed})
     sigma = {fixed: fixed, b: c, c: b}
-    twin = SimpleNamespace(orbit=node.orbit, covering=SimpleNamespace(
-        total=SimpleNamespace(dom=[sigma[x] for x in p.total.dom]),
-        witnesses={sigma[x]: w for x, w in enumerate(p.witnesses)},
-        morphism=SimpleNamespace(obj_map=p.morphism.obj_map)))
-    includes, meets, joins = _object_laws(SimpleNamespace(
+    twin = SimpleNamespace(orbit=node.orbit, covering=SimpleNamespace())
+    moved = tuple({sigma[x]: sigma[y] for x, y in move.items()}
+                  for move in transports(node.covering))
+    monkeypatch.setattr(classify, "transports", lambda p: moved
+                        if p is twin.covering else transports(p))
+    includes, joins = _object_laws(SimpleNamespace(
         base=lat_s3.base, universal=lat_s3.universal,
         nodes=(*lat_s3.nodes, twin)))
     assert includes(r, twin_id) and joins(r, twin_id, r)
-    assert meets(r, r, r)
-    assert not meets(r, twin_id, r)
+    assert _meet_holds(node, node, node)
+    assert not _meet_holds(node, twin, node)
 
 
 def test_the_pair_laws_read_no_arrow_of_u(s3, monkeypatch):
@@ -952,9 +977,10 @@ def test_the_pair_laws_read_no_arrow_of_u(s3, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called by the pair laws")
 
-    for name in ("factor_through", "verified_covering", "_lift_walk",
-                 "_check_meet", "meet_covering"):
+    for name in ("factor_through", "verified_covering", "meet_covering"):
         monkeypatch.setattr(classify, name, refuse)
+    for name in ("_lift_walk", "_check_meet"):  # the oracles, here
+        monkeypatch.setitem(globals(), name, refuse)
     sizes, part = [], classify.partition
     monkeypatch.setattr(classify, "partition",
                         lambda n, pairs: sizes.append(n) or part(n, pairs))

@@ -298,8 +298,9 @@ def _with_swapped_witness(cov, at):
 
 
 def test_inconsistent_witness_fails_the_lift_walk(c4_univ):
-    """A swapped witness entry lifts some object to two objects; the walk
-    shared by lift_morphism and covering_transformations reports it."""
+    """A swapped witness entry lifts some object to two objects; the one
+    lifting kernel (covering._lifter), shared by lift_morphism and
+    covering_transformations, reports it."""
     broken = _with_swapped_witness(c4_univ, c4_univ.mark)
     inconsistent = "^lift propagation inconsistent at object"
     with pytest.raises(TheoremViolation, match=inconsistent):

@@ -1,16 +1,14 @@
-"""The breadth-first lift walk that the lattice's meet check runs on a
-fibered product (``covering._lift_walk``) names the object of a witness
-read that leaves the fiber, as the lifting kernel does, where it used to
-raise a bare ``KeyError``."""
+"""The breadth-first lift walk that the lattice's old meet check ran on a
+fibered product (``_lift_walk``, kept verbatim in ``tests/test_lifts.py``
+as an oracle) names the object of a witness read that leaves the fiber,
+as the lifting kernel does, where it used to raise a bare ``KeyError``."""
 
 import re
 
 from gpdcov import TheoremViolation, universal_cover
-from gpdcov.covering import _lift_walk
-
 from test_cov_kernel import swapped_witnesses
 from test_index import CORPUS
-from test_lifts import CONNECTED, subgroup_covers
+from test_lifts import CONNECTED, _lift_walk, subgroup_covers
 
 INCONSISTENT = "lift propagation inconsistent at object ([0-9]+)"
 

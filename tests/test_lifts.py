@@ -11,7 +11,9 @@ both must give the same ids, tables and labels.  The search of
 filtering the full enumeration, ``reference_morphisms_over``.  The lift
 path that the one lifting kernel replaced (a walk per seed, then a second
 proof of the glued lift) is kept verbatim too, as the oracle of
-``tests/test_lift_kernel.py`` and of the isomorphism searches here.
+``tests/test_lift_kernel.py`` and of the isomorphism searches here; its
+walk, ``_lift_walk``, is also the arrow-level walk of the lattice's old
+meet clause, ``_check_meet`` in ``tests/test_classify.py``.
 """
 
 import itertools
@@ -32,7 +34,7 @@ from gpdcov import (Covering, FiniteGroup, FiniteGroupoid, GroupoidMorphism,
 from gpdcov import covering as covering_module
 from gpdcov.classify import PullbackCovering
 from gpdcov.documents import load_groupoid
-from gpdcov.covering import (_iso_over, _lift_walk, components,
+from gpdcov.covering import (_iso_over, components,
                              compose_morphisms, covering_of_lifts,
                              factor_through, find_covering_isomorphism,
                              glue_morphism, groupoid_isomorphisms)
@@ -295,6 +297,33 @@ def reference_omega(g):
 
 
 # -- the lift path the kernel replaced, verbatim ------------------------------
+
+def _lift_walk(p: Covering, f: GroupoidMorphism, start):
+    """Unique lifting of f through p from ``start`` = (s, t), f(s) = p(t),
+    breadth first: each arrow a into a reached s lifts to the arrow b into
+    t over f(a), read from ``p.witnesses[t]``, and reaches (dom a, dom b).
+    Returns the reached pairs, ``start`` first, and one (a, b, i, j) per
+    arrow, where i and j index the pairs of dom a and of a's codomain.
+    A read off the fiber (inconsistent witnesses) names s, as _lifter."""
+    into, fdom, pdom = f.source._into, f.source.dom, p.total.dom
+    f_arr, wit = f.arr_map, p.witnesses
+    pos = {start: 0}
+    pairs, arrows = [start], []
+    try:
+        for j, (s, t) in enumerate(pairs):  # grows while it is walked
+            lift = wit[t]
+            for a in into[s]:
+                b = lift[f_arr[a]]
+                d = (fdom[a], pdom[b])
+                i = pos.setdefault(d, len(pairs))
+                if i == len(pairs):
+                    pairs.append(d)
+                arrows.append((a, b, i, j))
+    except KeyError:
+        raise TheoremViolation(
+            f"lift propagation inconsistent at object {s}") from None
+    return pairs, arrows
+
 
 def reference_seeded_lift(p: Covering, f: GroupoidMorphism, root: int,
                           seed: int):
