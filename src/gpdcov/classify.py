@@ -1,24 +1,18 @@
 """Equivalence classes of connected coverings and the Galois lattice.
 
-Over a connected base G with universal covering u and covering
-transformation group Γ = Cov(total(u)/G), the connected coverings of G up
-to equivalence correspond bijectively — and order-reversingly — to the
-subgroups of Γ: a subgroup Π goes to the quotient covering
-total(u)/Π -> G, and a covering comes back via the transformations of the
-projection from total(u) onto it.
+Over a connected base G with universal covering u, U = total(u), and
+Γ = Cov(U/G), the connected coverings of G up to equivalence correspond
+bijectively and order-reversingly to the subgroups Π of Γ: Π goes to
+U/Π -> G, and a covering comes back via Cov of the projection from U.
 
-:func:`build_lattice` constructs one node per subgroup and then verifies
-the whole correspondence geometrically: round trips, order reversal,
-meet/join against orbit partitions of total(u), fold = index, and
-regularity = normality.  Any failure raises :class:`TheoremViolation`
-naming the clause, as each is a theorem.
-
-Naming note: on the subgroup side, meet = intersection and join =
-generated subgroup.  Geometrically the meet corresponds to the marked
-component of the fibered product over G, and the join to the pushout
-under the universal cover.  The orbit morphisms of Π_a and Π_b pair U =
-total(u) onto the marked component, with the (Π_a ∩ Π_b)-orbits as fibers.
-The pushout of two orbit morphisms joins their partitions.
+:func:`build_lattice` builds each node from its labels o_Π alone, the
+Π-orbit of each object of U, by one :func:`covering_of_lifts` call, with
+no group action, orbit groupoid or second quotient of U, and verifies the
+whole correspondence; a failed clause raises :class:`TheoremViolation`
+naming it, as each is a theorem.  Meet = intersection is the marked
+component of the fibered product over G, onto which the orbit morphisms
+of Π_a and Π_b pair U with the (Π_a ∩ Π_b)-orbits as fibers; join =
+generated subgroup is the pushout under U, which joins the two partitions.
 
 The lattice's pair laws are read on U's objects alone, exactly: a map of
 coverings over G that is bijective on objects is an isomorphism (star maps
@@ -36,11 +30,10 @@ import weakref
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .covering import (Covering, GroupoidMorphism, compose_morphisms,
-                       covering_of_lifts, factor_through, fold,
-                       lift_morphism, transports, verified_covering)
-from .construct import (OrbitGroupoid, orbit_groupoid, quotient_covering,
-                        universal_cover)
+from .covering import (Covering, GroupoidMorphism, _pick,
+                       compose_morphisms, covering_of_lifts, factor_through,
+                       fold, lift_morphism, transports, verified_covering)
+from .construct import OrbitGroupoid, quotient_covering, universal_cover
 from .groupoid import (FiniteGroupoid, generators, is_connected, partition,
                        vertex_group)
 from .groups import Subgroup, find_isomorphism
@@ -177,15 +170,16 @@ def _same_image_pairs(*maps):
 
 
 class CoveringClass:
-    """One node of the lattice: the subgroup Π of Γ with its canonical
-    quotient covering of the base and the orbit morphism from the
-    universal total."""
+    """One node of the lattice: the subgroup Π of Γ, its labels o_Π
+    (``labels[x]`` is the Π-orbit of object x of the universal total,
+    orbits numbered by least member) and the quotient covering of the base
+    built from them: object i is orbit i, marked at the mark's orbit."""
 
-    def __init__(self, subgroup: Subgroup, covering: Covering,
-                 orbit: OrbitGroupoid, fold_count: int, regular: bool):
+    def __init__(self, subgroup: Subgroup, covering: Covering, labels,
+                 fold_count: int, regular: bool):
         self.subgroup = subgroup
         self.covering = covering
-        self.orbit = orbit
+        self.labels = labels
         self.fold = fold_count
         self.regular = regular
         self._lattice = None  # a weak reference, set by GaloisLattice
@@ -311,66 +305,76 @@ _MEET_LAW = ("pullback component is not equivalent to the intersection "
 
 
 def build_lattice(g: FiniteGroupoid, g0: int = 0) -> GaloisLattice:
-    """Construct and verify the full classification lattice over g.
-
-    Verified clauses (any failure raises TheoremViolation naming it):
-    bijection and order reversal; both round trips; meet and join laws
-    as identities of orbit partitions of the universal total; fold =
-    subgroup index; and regularity = normality.  Finally the vertex group
-    of each quotient is checked isomorphic to its subgroup.
+    """Construct and verify the full classification lattice over g.  Node
+    Π is read off its labels o_Π, the partition of U's objects by its
+    members' object maps.  Label compatibility: o_Π(x·h) depends on
+    o_Π(x) alone, for every object x and h in ``generators(g)`` (every
+    arrow when None), which holds inverses and generates every arrow.
+    U's fiber action then descends to the blocks, and one
+    :func:`covering_of_lifts` call builds and checks U/Π -> G: object c is
+    block c, and the lift of h into c starts at the block of x·h, x the
+    least member of c.  Round trip: the t in Γ with o_Π∘t = o_Π must be
+    Π.  Exact: a transformation of U over U/Π lies over G, so is in Γ,
+    and o_Π∘t and o_Π, maps of coverings U -> U/Π over G, are equal iff
+    equal on objects, by unique lifting.  Fold = index, the trivial subgroup's
+    blocks being U's objects, makes blocks·|Π| = |Ob U|: Π fixes no
+    object (orbit-stabiliser), nor arrow (its stabiliser is in its
+    domain's).  Then regularity = normality, each quotient's vertex group
+    against its subgroup, and the pair laws.
     """
     if not is_connected(g):
         raise ValueError("lattice construction requires a connected base")
     u = universal_cover(g, g0)
     cov_group = covering_transformations(u)
-    gamma = cov_group.group
-    subs = gamma.subgroups()
+    ts, tu, ut = cov_group.transformations, transports(u), u.total
     nodes = []
-    for sub in subs:
-        orb = orbit_groupoid(cov_group.action_of_subgroup(sub),
-                             u.marked_object)
-        quot_cov = _quotient_to_base(u, orb)
-        node = CoveringClass(
-            subgroup=sub,
-            covering=quot_cov,
-            orbit=orb,
-            fold_count=fold(quot_cov),
-            regular=is_regular(quot_cov))
-        nodes.append(node)
+    for sub in cov_group.group.subgroups():
+        part = partition(ut.n_objects, (
+            pair for k in sub.elements for pair in enumerate(ts[k].obj_map)))
+        o, reps = part.index, [blk[0] for blk in part.blocks]
+        if any(len({(o[x], o[y]) for x, y in tu[h].items()}) !=
+               len({o[x] for x in tu[h]}) for h in generators(g) or g.arrows):
+            raise TheoremViolation(
+                "orbit labels of the universal total are not respected by "
+                "the base's action (clause: label compatibility)")
+        over = _pick(u.morphism.obj_map, reps)
+        lifts = [(h, o[tu[h][x]], c) for c, x in enumerate(reps)
+                 for h in g._into[over[c]]]
+        quot_cov = covering_of_lifts(
+            g, over, lifts, tuple(f"[{ut.obj_labels[x]}]" for x in reps),
+            tuple(f"[{ut.arr_labels[u.lift(h, reps[c])]}]"
+                  for h, _, c in lifts), "quotient projection", o[u.mark])
+        nodes.append(CoveringClass(sub, quot_cov, o, fold(quot_cov),
+                                   is_regular(quot_cov)))
     lattice = GaloisLattice(g, g0, u, cov_group, nodes)
     _verify_lattice(lattice)
     return lattice
 
 
 def _verify_lattice(lat: GaloisLattice):
-    gamma = lat.cov_group.group
-    n = len(lat.nodes)
+    gamma, ts = lat.cov_group.group, lat.cov_group.transformations
     for node in lat.nodes:
-        # round trip Π -> quotient covering -> Cov of the orbit morphism
-        back = covering_transformations(node.orbit.covering)
-        sub = lat.cov_group.subgroup_of_morphisms(back.transformations)
-        if sub != node.subgroup:
+        o = node.labels
+        if tuple(k for k, t in enumerate(ts) if _pick(o, t.obj_map) == o) \
+                != node.subgroup.elements:
             raise TheoremViolation(
                 "round trip failed: Cov of the quotient projection is not "
                 "the defining subgroup (clause: bijection round trip)")
-        # fold = index
         if node.fold != gamma.order // node.subgroup.order:
             raise TheoremViolation(
                 "fold of a quotient covering differs from the subgroup "
                 "index (clause: fold formula)")
-        # regularity = normality in Γ
-        if node.regular != node.subgroup.is_normal():
+        if node.regular != node.subgroup.is_normal():  # normal in Γ
             raise TheoremViolation(
                 "regularity does not match normality of the subgroup "
                 "(clause: regularity)")
-        # vertex group of the quotient is the subgroup
         vg = vertex_group(node.covering.total, node.covering.mark)
         if find_isomorphism(vg, node.subgroup.as_group()) is None:
             raise TheoremViolation(
                 "vertex group of a quotient is not isomorphic to its "
                 "subgroup (clause: quotient vertex group)")
     includes, joins = _object_laws(lat)
-    nodes = lat.nodes
+    nodes, n = lat.nodes, len(lat.nodes)
     for i in range(n):
         for j in range(n):
             if includes(i, j) != lat.subgroup_leq(i, j):
@@ -386,18 +390,14 @@ def _verify_lattice(lat: GaloisLattice):
 
 def _object_laws(lat: GaloisLattice):
     """The order and join laws on U's objects, as ``includes(i, j)`` and
-    ``joins(i, j, k)``, k the candidate node.  Exact: each node is
-    covering-checked, so an arrow block is fixed by its base arrow and its
-    codomain's block.  Read once per node: labels o (orbit projection on
-    U's objects), block count and freeness (arrow blocks as large as their
-    domain's).  Order: Π_i ⊆ Π_j iff i-labels refine j-labels.  Join: k is
-    free and labelled by the union-find join of the i- and j-labels.  The
-    meet law reads only its pair and is :func:`_meet_holds`."""
-    labels = [n.orbit.projection.obj_map for n in lat.nodes]
-    blocks = [len(n.orbit.obj_orbits) for n in lat.nodes]
-    dom = lat.universal.total.dom
-    free = [all(len(b) == len(o.obj_orbits[o.projection.obj_map[dom[b[0]]]])
-                for b in o.arr_orbits) for o in (n.orbit for n in lat.nodes)]
+    ``joins(i, j, k)``, k the candidate node, read from each node's labels
+    o and block count.  Order: Π_i ⊆ Π_j iff i-labels refine j-labels.
+    Join: k is labelled by the union-find join of the i- and j-labels,
+    the orbits of ⟨Π_i, Π_j⟩; as every node acts freely (fold formula)
+    and Π_k fixes exactly its labels (round trip), Π_k = ⟨Π_i, Π_j⟩,
+    whose quotient is the pushout.  The meet law is :func:`_meet_holds`."""
+    labels = [n.labels for n in lat.nodes]
+    blocks = [n.covering.total.n_objects for n in lat.nodes]
 
     def includes(i, j):
         return len(set(zip(labels[i], labels[j]))) == blocks[i]
@@ -406,7 +406,7 @@ def _object_laws(lat: GaloisLattice):
         oi, oj = labels[i], labels[j]
         rep = dict(zip(oj, oi))  # j-label -> an i-label that shares it
         part = partition(blocks[i], set(zip(oi, map(rep.__getitem__, oj))))
-        return free[k] and tuple(map(part.index.__getitem__, oi)) == labels[k]
+        return tuple(map(part.index.__getitem__, oi)) == labels[k]
     return includes, joins
 
 
@@ -414,23 +414,22 @@ def _meet_holds(a: CoveringClass, b: CoveringClass,
                 k: CoveringClass) -> bool:
     """The meet law on one pair, on U's objects: k's quotient is the marked
     component C of the fibered product of a's and b's coverings.  C's
-    objects are the orbit of the marks' pair (o_b(mark), o_a(mark)) under
-    the paired transports of the base generators (every arrow when there
-    is none), o the labels of the orbit projections.  That orbit must be
+    objects are the orbit of the marks' pair under the paired transports
+    of the base generators (every arrow when there is none).  It must be
     φ(U) for φ = (o_b, o_a), a functor over G, so φ is onto C, and φ must
     partition U's objects as k's labels o_k do, so U/Π_k -> C is bijective
     on objects, hence an isomorphism (module docstring).  As Π_a z ∩ Π_b z
     = (Π_a ∩ Π_b) z for a free action, φ's fibers are the intersection's
     orbits: a conjugate of k fails.  Reads a, b and k alone."""
-    la, lb, lk = (n.orbit.projection.obj_map for n in (a, b, k))
+    la, lb, lk = a.labels, b.labels, k.labels
     ta, tb = transports(a.covering), transports(b.covering)
-    base, mark = a.covering.base, a.orbit.covering.mark
+    base = a.covering.base
     gens = generators(base) or base.arrows
-    walk = [(lb[mark], la[mark])]
+    walk = [(b.covering.mark, a.covering.mark)]
     seen = set(walk)
     for y, x in walk:  # grows while it is walked
         walk += (new := {(tb[g][y], ta[g][x]) for g in gens
                          if x in ta[g]} - seen)
         seen |= new
     return seen == set(zip(lb, la)) and len(seen) == \
-        len(k.orbit.obj_orbits) == len(set(zip(lb, la, lk)))
+        k.covering.total.n_objects == len(set(zip(lb, la, lk)))

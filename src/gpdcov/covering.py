@@ -264,6 +264,8 @@ class Covering:
 
     def lift(self, base_arrow: int, at: int) -> int:
         """The unique arrow into ``at`` lying over ``base_arrow``."""
+        if not 0 <= at < len(self.witnesses):
+            raise ValueError(f"unknown total object id {at}")
         try:
             return self.witnesses[at][base_arrow]
         except KeyError:
@@ -648,7 +650,10 @@ class MonodromyAction:
     def act(self, x: int, k: int) -> int:
         if not 0 <= k < self.group.order:
             raise ValueError(f"unknown vertex group element {k}")
-        return transports(self.covering)[self.group.arrows[k]][x]
+        move = transports(self.covering)[self.group.arrows[k]]
+        if x not in move:
+            self.orbit(x)  # raises the ValueError naming x
+        return move[x]
 
     def orbit(self, x: int) -> tuple:
         """The orbit of the fiber object x, ascending."""

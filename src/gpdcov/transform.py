@@ -109,11 +109,7 @@ class CovGroup:
 
     def as_action(self):
         """The tautological action of the group on the total groupoid."""
-        from .construct import GroupAction
-        return GroupAction(
-            self.group, self.covering.total,
-            tuple(t.obj_map for t in self.transformations),
-            tuple(t.arr_map for t in self.transformations))
+        return self.action_of_subgroup(self.group.full_subgroup())
 
     def action_of_subgroup(self, sub: Subgroup):
         from .construct import GroupAction

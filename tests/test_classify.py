@@ -11,13 +11,15 @@ import pytest
 from gpdcov import (FiniteGroupoid, GroupoidMorphism, TheoremViolation,
                     build_lattice, classify_covering, component_subgroupoid,
                     components, compose_morphisms, equivalent_coverings,
-                    fibered_product, is_connected, lift_morphism,
+                    fibered_product, find_covering_isomorphism,
+                    is_connected, lift_morphism,
                     meet_covering, pullback_covering, pushout_covering,
                     trivial_groupoid, universal_cover, verified_covering,
                     vertex_group)
 from gpdcov.classify import (_MEET_LAW, CoveringClass, GaloisLattice,
                              PushoutResult, _induced_on_quotient,
-                             _meet_holds, _object_laws, _same_image_pairs)
+                             _meet_holds, _object_laws, _quotient_to_base,
+                             _same_image_pairs)
 from gpdcov.cli import main
 from gpdcov.construct import GroupAction, OrbitGroupoid, orbit_groupoid
 from gpdcov.covering import covering_of_lifts, factor_through, transports
@@ -30,6 +32,16 @@ from test_index import CORPUS
 from test_lifts import _lift_walk
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@lru_cache(maxsize=None)
+def orbit_of(node):
+    """The orbit groupoid a lattice node carried before nodes were built
+    from their labels: the quotient of the universal total by the node's
+    subgroup, through its GroupAction, marked at the universal mark."""
+    lat = node.lattice
+    return orbit_groupoid(lat.cov_group.action_of_subgroup(node.subgroup),
+                          lat.universal.marked_object)
 
 
 @pytest.fixture(scope="module")
@@ -163,34 +175,34 @@ def test_join_via_pushout(lat_s3, s3):
     from gpdcov import find_groupoid_isomorphism
     order2 = [n for n in lat_s3.nodes if n.subgroup.order == 2]
     a, b = order2[0], order2[1]
-    push = pushout_covering(a.orbit.covering, b.orbit.covering)
+    push = pushout_covering(orbit_of(a).covering, orbit_of(b).covering)
     # two distinct flips generate everything: the pushout is the
     # identity covering class, i.e. the base itself
     assert push.quotient.n_objects == 1
     assert find_groupoid_isomorphism(push.quotient, s3) is not None
     # legs commute with the orbit morphisms
-    assert compose_morphisms(push.leg_first, a.orbit.projection) == \
+    assert compose_morphisms(push.leg_first, orbit_of(a).projection) == \
         push.orbit_covering.morphism
-    assert compose_morphisms(push.leg_second, b.orbit.projection) == \
+    assert compose_morphisms(push.leg_second, orbit_of(b).projection) == \
         push.orbit_covering.morphism
 
 
 def test_pushout_with_itself(lat_c4):
     mid = lat_c4.nodes[1]
-    push = pushout_covering(mid.orbit.covering, mid.orbit.covering)
-    assert push.quotient == mid.orbit.quotient
+    push = pushout_covering(orbit_of(mid).covering, orbit_of(mid).covering)
+    assert push.quotient == orbit_of(mid).quotient
 
 
 def test_pushout_with_whole_group(lat_c4):
     mid, top = lat_c4.nodes[1], lat_c4.nodes[2]
-    push = pushout_covering(mid.orbit.covering, top.orbit.covering)
+    push = pushout_covering(orbit_of(mid).covering, orbit_of(top).covering)
     assert push.quotient.n_objects == 1  # identity covering class
 
 
 def test_pushout_requires_common_universal(lat_c4, lat_s3):
     with pytest.raises(ValueError):
-        pushout_covering(lat_c4.nodes[1].orbit.covering,
-                         lat_s3.nodes[1].orbit.covering)
+        pushout_covering(orbit_of(lat_c4.nodes[1]).covering,
+                         orbit_of(lat_s3.nodes[1]).covering)
 
 
 def test_round_trip_through_gamma(lat_s3, s3_covers, s3):
@@ -277,7 +289,7 @@ def test_pushout_matches_closure_reference(name):
     lat = lattice_of(name)
     for a in lat.nodes:
         for b in lat.nodes:
-            p, q = a.orbit.covering, b.orbit.covering
+            p, q = orbit_of(a).covering, orbit_of(b).covering
             got = pushout_covering(p, q)
             want = reference_pushout_covering(p, q)
             quot = got.quotient
@@ -301,15 +313,16 @@ def test_pushout_builds_no_transformation_group(lat_s3, monkeypatch):
     """The pushout joins partitions: it enumerates no covering
     transformations and composes no morphisms."""
     import gpdcov.classify as classify
+    import gpdcov.construct as construct
 
     def refuse(*args, **kwargs):
         raise AssertionError("called by pushout_covering")
 
-    for name in ("covering_transformations", "compose_morphisms",
-                 "orbit_groupoid"):
+    p, q = (orbit_of(n).covering for n in lat_s3.nodes[1:3])
+    for name in ("covering_transformations", "compose_morphisms"):
         monkeypatch.setattr(classify, name, refuse)
-    a, b = lat_s3.nodes[1], lat_s3.nodes[2]
-    push = pushout_covering(a.orbit.covering, b.orbit.covering)
+    monkeypatch.setattr(construct, "orbit_groupoid", refuse)
+    push = pushout_covering(p, q)
     assert push.quotient.n_objects == 1
 
 
@@ -357,8 +370,8 @@ def _check_meet(a: CoveringClass, b: CoveringClass, k: CoveringClass):
     orbits do, so U/Π_k -> C is bijective, hence C ≅ k as pointed
     coverings.  As Π_a z ∩ Π_b z = (Π_a ∩ Π_b) z for a free action, φ's
     fibers are the intersection's orbits: a conjugate of k fails."""
-    pa, pb, pk = a.orbit.projection, b.orbit.projection, k.orbit.projection
-    m = a.orbit.covering.mark
+    pa, pb, pk = (orbit_of(n).projection for n in (a, b, k))
+    m = orbit_of(a).covering.mark
     objs, walk = _lift_walk(a.covering, b.covering.morphism,
                             (pb.obj_map[m], pa.obj_map[m]))
     walked = (set(objs), {(u, v) for u, v, _, _ in walk})
@@ -374,7 +387,7 @@ def _orbit_map_exists(a: CoveringClass, b: CoveringClass) -> bool:
     """Whether quotient_a projects onto quotient_b compatibly with the two
     orbit morphisms (possible iff the a-orbits refine the b-orbits)."""
     try:
-        m = factor_through(a.orbit.projection, b.orbit.projection)
+        m = factor_through(orbit_of(a).projection, orbit_of(b).projection)
     except ValueError:
         return False
     verified_covering(m, "induced projection between quotients")
@@ -389,13 +402,13 @@ JOIN_LAW = "clause: join law"
 def reference_join_clause(a, b, k):
     """The join clause as it was: rebuild the pushout quotient of a's and
     b's orbit morphisms and compare it with node k's quotient."""
-    push = pushout_covering(a.orbit.covering, b.orbit.covering)
-    return push.quotient == k.orbit.quotient
+    push = pushout_covering(orbit_of(a).covering, orbit_of(b).covering)
+    return push.quotient == orbit_of(k).quotient
 
 
 def join_clause_holds(a, b, k):
     try:
-        _check_join(a.orbit, b.orbit, k.orbit)
+        _check_join(orbit_of(a), orbit_of(b), orbit_of(k))
     except TheoremViolation as exc:
         assert JOIN_LAW in str(exc)
         return False
@@ -437,8 +450,8 @@ def test_join_node_orbits_are_networkx_components(name):
     u = lat.universal.total
     for i, a in enumerate(lat.nodes):
         for j, b in enumerate(lat.nodes):
-            join = lat.nodes[lat.join(i, j)].orbit
-            pa, pb = a.orbit.projection, b.orbit.projection
+            join = orbit_of(lat.nodes[lat.join(i, j)])
+            pa, pb = orbit_of(a).projection, orbit_of(b).projection
             assert union_components(u.n_objects, pa.obj_map, pb.obj_map) \
                 == set(map(frozenset, join.obj_orbits))
             assert union_components(u.n_arrows, pa.arr_map, pb.arr_map) \
@@ -453,27 +466,27 @@ def test_pushout_legs_are_the_order_reversal_maps(name):
     lat = lattice_of(name)
     for i, a in enumerate(lat.nodes):
         for j, b in enumerate(lat.nodes):
-            join = lat.nodes[lat.join(i, j)].orbit
-            push = pushout_covering(a.orbit.covering, b.orbit.covering)
+            join = orbit_of(lat.nodes[lat.join(i, j)])
+            push = pushout_covering(orbit_of(a).covering, orbit_of(b).covering)
             assert_same_maps(push.leg_first, factor_through(
-                a.orbit.projection, join.projection))
+                orbit_of(a).projection, join.projection))
             assert_same_maps(push.leg_second, factor_through(
-                b.orbit.projection, join.projection))
+                orbit_of(b).projection, join.projection))
 
 
 def test_join_clause_compares_arrow_blocks(lat_s3):
     """A join node with the same object blocks and other arrow blocks is
     rejected: two arrows of different blocks trade labels."""
     top = lat_s3.nodes[-1]
-    proj = top.orbit.projection
+    proj = orbit_of(top).projection
     arr_map = list(proj.arr_map)
-    x, y = top.orbit.arr_orbits[0][1], top.orbit.arr_orbits[1][1]
+    x, y = orbit_of(top).arr_orbits[0][1], orbit_of(top).arr_orbits[1][1]
     arr_map[x], arr_map[y] = arr_map[y], arr_map[x]
-    fake = replace(top.orbit, projection=GroupoidMorphism(
+    fake = replace(orbit_of(top), projection=GroupoidMorphism(
         proj.source, proj.target, proj.obj_map, arr_map))
-    _check_join(top.orbit, top.orbit, top.orbit)
+    _check_join(orbit_of(top), orbit_of(top), orbit_of(top))
     with pytest.raises(TheoremViolation, match=JOIN_LAW):
-        _check_join(top.orbit, top.orbit, fake)
+        _check_join(orbit_of(top), orbit_of(top), fake)
 
 
 def test_join_clause_rejects_a_non_free_joint_action(lat_c4):
@@ -488,7 +501,7 @@ def test_join_clause_rejects_a_non_free_joint_action(lat_c4):
     swapped = orbit_groupoid(GroupAction(
         FiniteGroup.cyclic(2), u, (tuple(u.objects), swap),
         (tuple(u.arrows), arr_map)))
-    rotations = lat_c4.nodes[-1].orbit
+    rotations = orbit_of(lat_c4.nodes[-1])
     pr, ps = rotations.projection, swapped.projection
     objs = partition(u.n_objects, _same_image_pairs(pr.obj_map, ps.obj_map))
     arrs = partition(u.n_arrows, _same_image_pairs(pr.arr_map, ps.arr_map))
@@ -499,21 +512,19 @@ def test_join_clause_rejects_a_non_free_joint_action(lat_c4):
         _check_join(rotations, swapped, joined)
 
 
-def corrupt_top_arrow_blocks(monkeypatch):
-    """Node orbits built as usual, except that the top node's first two
-    arrow blocks are merged; only the join clause reads them."""
+def corrupt_joined_labels(monkeypatch):
+    """Nodes built and checked as usual, except that while the pair laws
+    run, every partition merges blocks 0 and 1: the union-find join of a
+    pair's labels, which only the join law reads, comes out coarser."""
     import gpdcov.classify as classify
-    build = classify.orbit_groupoid
+    verify, part = classify._verify_lattice, classify.partition
 
-    def corrupted(action, *args):
-        orb = build(action, *args)
-        # over a one-object base only the top node acts transitively
-        if action.group.order != action.space.n_objects:
-            return orb
-        first, second, *rest = orb.arr_orbits
-        return replace(orb, arr_orbits=(first + second, *rest))
+    def corrupted(lat):
+        monkeypatch.setattr(classify, "partition", lambda n, pairs: part(
+            n, [*pairs, (0, min(1, n - 1))]))
+        verify(lat)
 
-    monkeypatch.setattr(classify, "orbit_groupoid", corrupted)
+    monkeypatch.setattr(classify, "_verify_lattice", corrupted)
 
 
 def corrupt_join_table(monkeypatch):
@@ -521,7 +532,7 @@ def corrupt_join_table(monkeypatch):
     monkeypatch.setattr(GaloisLattice, "join", GaloisLattice.meet)
 
 
-JOIN_CORRUPTIONS = (corrupt_top_arrow_blocks, corrupt_join_table)
+JOIN_CORRUPTIONS = (corrupt_joined_labels, corrupt_join_table)
 
 
 @pytest.mark.parametrize("corrupt", JOIN_CORRUPTIONS)
@@ -542,26 +553,55 @@ def test_cli_exits_3_on_a_corrupted_join_node(capsys, monkeypatch, corrupt):
 
 
 def test_build_lattice_builds_no_pushout(s3, monkeypatch):
-    """The join clause rebuilds nothing: no pushout, and one quotient per
-    node, the node's own."""
+    """Nodes are built from their labels and the join clause rebuilds
+    nothing: no pushout, group action, orbit groupoid or explicit quotient
+    of the universal total, no map pushed down a quotient and no covering
+    check of a morphism; one covering_of_lifts call per node; and Cov is
+    enumerated over the universal total once, then once per node
+    covering, by is_regular."""
     import gpdcov.classify as classify
     import gpdcov.construct as construct
+    import gpdcov.transform as transform
 
     def refuse(*args, **kwargs):
         raise AssertionError("called by build_lattice")
 
-    monkeypatch.setattr(classify, "pushout_covering", refuse)
-    calls = []
-    build = construct.quotient_covering
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
-
-    for module in (classify, construct):
-        monkeypatch.setattr(module, "quotient_covering", counting)
+    for module, names in (
+            (classify, ("pushout_covering", "quotient_covering",
+                        "factor_through", "verified_covering")),
+            (construct, ("GroupAction", "orbit_groupoid", "quotient_covering",
+                         "factor_through", "verified_covering"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    built, enumerated = [], []
+    lifts, cov = classify.covering_of_lifts, transform.covering_transformations
+    monkeypatch.setattr(classify, "covering_of_lifts",
+                        lambda *args: built.append(args) or lifts(*args))
+    for module in (classify, transform):
+        monkeypatch.setattr(module, "covering_transformations",
+                            lambda p: enumerated.append(p) or cov(p))
     lat = build_lattice(s3, 0)
-    assert len(calls) == len(lat.nodes) == 6
+    assert len(built) == len(lat.nodes) == 6
+    assert enumerated == [lat.universal, *(n.covering for n in lat.nodes)]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_nodes_match_their_orbit_groupoids(name):
+    """Each node, built from its labels, is the node its orbit groupoid
+    gave: the labels are the orbit projection on objects; the node
+    covering has the quotient's objects over the same base objects and
+    its mark, and is isomorphic to it over the base; and Cov of the orbit
+    morphism is the node's subgroup."""
+    lat = lattice_of(name)
+    for node in lat.nodes:
+        orb = orbit_of(node)
+        quot = _quotient_to_base(lat.universal, orb)
+        assert node.labels == orb.projection.obj_map
+        assert node.covering.morphism.obj_map == quot.morphism.obj_map
+        assert node.covering.marked_object == quot.marked_object
+        assert find_covering_isomorphism(node.covering, quot) is not None
+        back = covering_transformations(orb.covering).transformations
+        assert lat.cov_group.subgroup_of_morphisms(back) == node.subgroup
 
 
 def test_meet_and_join_tables_are_closed_once(lat_s3, monkeypatch):
@@ -597,8 +637,8 @@ def reference_meet_covering(a, b):
     prod = fibered_product(a.covering, b.covering)
     marked = lat.universal.mark
     # obj_pairs carry (second factor, first factor); see fibered_product
-    pair = (b.orbit.projection.obj_map[marked],
-            a.orbit.projection.obj_map[marked])
+    pair = (orbit_of(b).projection.obj_map[marked],
+            orbit_of(a).projection.obj_map[marked])
     marked_obj = prod.obj_pairs.index(pair)
     parts = components(prod.covering.total)
     comp, obj_ids, arr_ids = component_subgroupoid(
@@ -676,8 +716,8 @@ def reference_meet_component(a, b):
     # pairs carry (second factor, first factor), as in fibered_product
     comp, _, _ = reference_marked_component(
         a.covering, b.covering,
-        (b.orbit.projection.obj_map[marked],
-         a.orbit.projection.obj_map[marked]))
+        (orbit_of(b).projection.obj_map[marked],
+         orbit_of(a).projection.obj_map[marked]))
     return comp
 
 
@@ -747,10 +787,10 @@ def test_meet_node_orbits_are_networkx_components(name):
     u, ts = lat.universal.total, lat.cov_group.transformations
     for i, a in enumerate(lat.nodes):
         for j, b in enumerate(lat.nodes):
-            meet = lat.nodes[lat.meet(i, j)].orbit
+            meet = orbit_of(lat.nodes[lat.meet(i, j)])
             common = [ts[e] for e in
                       set(a.subgroup.elements) & set(b.subgroup.elements)]
-            pa, pb = a.orbit.projection, b.orbit.projection
+            pa, pb = orbit_of(a).projection, orbit_of(b).projection
             for n, attr, orbits in (
                     (u.n_objects, "obj_map", meet.obj_orbits),
                     (u.n_arrows, "arr_map", meet.arr_orbits)):
@@ -772,8 +812,8 @@ def test_meet_component_is_the_marked_block_of_the_product(name):
     for a in lat.nodes:
         for b in lat.nodes:
             # (second factor, first factor), as in fibered_product
-            start = (b.orbit.projection.obj_map[marked],
-                     a.orbit.projection.obj_map[marked])
+            start = (orbit_of(b).projection.obj_map[marked],
+                     orbit_of(a).projection.obj_map[marked])
             obj_pairs, walk = _lift_walk(a.covering, b.covering.morphism,
                                          start)
             arr_pairs = [(u, v) for u, v, _, _ in walk]
@@ -817,13 +857,12 @@ def test_meet_builds_no_groupoid(lat_s3, monkeypatch):
 
 
 def relabelled(node, attr, change):
-    """A stand-in for node whose orbit labels on objects or arrows
-    (``attr``) are rewritten by ``change``."""
-    proj = node.orbit.projection
+    """A stand-in for node's orbit groupoid whose labels on objects or
+    arrows (``attr``) are rewritten by ``change``."""
+    proj = orbit_of(node).projection
     maps = {"obj_map": proj.obj_map, "arr_map": proj.arr_map}
     maps[attr] = change(list(maps[attr]))
-    return SimpleNamespace(orbit=SimpleNamespace(
-        projection=SimpleNamespace(**maps)))
+    return SimpleNamespace(projection=SimpleNamespace(**maps))
 
 
 def merge_two_blocks(labels):
@@ -838,15 +877,18 @@ def split_one_block(labels):
 
 @pytest.mark.parametrize("attr", ["obj_map", "arr_map"])
 @pytest.mark.parametrize("change", [merge_two_blocks, split_one_block])
-def test_meet_rejects_a_k_that_merges_or_splits_blocks(lat_s3, attr,
-                                                      change):
+def test_meet_rejects_a_k_that_merges_or_splits_blocks(lat_s3, monkeypatch,
+                                                      attr, change):
     """A candidate whose labels merge two pair blocks, or split one, on
     objects or on arrows alone, fails; the true meet, here a itself,
     passes."""
     a = [n for n in lat_s3.nodes if n.subgroup.order == 2][0]
     _check_meet(a, a, a)
+    k, orbit, fake = object(), orbit_of, relabelled(a, attr, change)
+    monkeypatch.setitem(globals(), "orbit_of",
+                        lambda n: fake if n is k else orbit(n))
     with pytest.raises(TheoremViolation, match=MEET_LAW):
-        _check_meet(a, a, relabelled(a, attr, change))
+        _check_meet(a, a, k)
 
 
 def swapped(start):
@@ -870,8 +912,8 @@ def test_meet_rejects_a_walk_from_a_wrong_pair(monkeypatch, name, i, j,
     lat = lattice_of(name)
     a, b, k = lat.nodes[i], lat.nodes[j], lat.nodes[lat.meet(i, j)]
     mark = lat.universal.mark
-    start = (b.orbit.projection.obj_map[mark],
-             a.orbit.projection.obj_map[mark])
+    start = (orbit_of(b).projection.obj_map[mark],
+             orbit_of(a).projection.obj_map[mark])
     assert restart(start) != start
     _check_meet(a, b, k)
     walk = _lift_walk
@@ -950,11 +992,12 @@ def test_the_meet_walk_must_reach_the_image_alone(lat_s3, monkeypatch):
     import gpdcov.classify as classify
     r = next(k for k, n in enumerate(lat_s3.nodes) if n.subgroup.order == 2)
     node, twin_id = lat_s3.nodes[r], len(lat_s3)
-    labels = node.orbit.projection.obj_map
+    labels = node.labels
     fixed = labels[lat_s3.universal.mark]
     b, c = sorted(set(labels) - {fixed})
     sigma = {fixed: fixed, b: c, c: b}
-    twin = SimpleNamespace(orbit=node.orbit, covering=SimpleNamespace())
+    twin = SimpleNamespace(labels=labels, covering=SimpleNamespace(
+        mark=node.covering.mark, total=node.covering.total))
     moved = tuple({sigma[x]: sigma[y] for x, y in move.items()}
                   for move in transports(node.covering))
     monkeypatch.setattr(classify, "transports", lambda p: moved
@@ -1028,6 +1071,84 @@ def test_build_lattice_raises_each_pair_clause(s3, monkeypatch, corrupt,
 
 @pytest.mark.parametrize("corrupt, clause", PAIR_CORRUPTIONS)
 def test_cli_exits_3_on_each_pair_clause(capsys, monkeypatch, corrupt,
+                                         clause):
+    corrupt(monkeypatch)
+    assert main(["lattice", str(FIXTURES / "s3.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert clause in captured.err
+
+
+# -- the node clauses of build_lattice -----------------------------------------
+
+def break_label_compatibility(monkeypatch):
+    """The A3 node's two blocks trade one member each: still two blocks of
+    three, but the base's action no longer respects them."""
+    import gpdcov.classify as classify
+    part = classify.partition
+
+    def traded(n, pairs):
+        out = part(n, pairs)
+        if len(out.blocks) != 2:
+            return out
+        labels = list(out.index)
+        x, y = out.blocks[0][-1], out.blocks[1][-1]
+        labels[x], labels[y] = labels[y], labels[x]
+        return part(n, _same_image_pairs(labels))
+
+    monkeypatch.setattr(classify, "partition", traded)
+
+
+def label_a_node_as_its_conjugate(monkeypatch):
+    """Each order-2 node is handed the first one's labels, which its
+    conjugate subgroup fixes."""
+    import gpdcov.classify as classify
+    first = []
+
+    def node(sub, covering, labels, *rest):
+        if sub.order == 2:
+            first.append(labels)
+            labels = first[0]
+        return CoveringClass(sub, covering, labels, *rest)
+
+    monkeypatch.setattr(classify, "CoveringClass", node)
+
+
+def miscount_the_fold(monkeypatch):
+    import gpdcov.classify as classify
+    fold = classify.fold
+    monkeypatch.setattr(classify, "fold", lambda p: fold(p) + 1)
+
+
+def flip_regularity(monkeypatch):
+    import gpdcov.classify as classify
+    is_regular = classify.is_regular
+    monkeypatch.setattr(classify, "is_regular", lambda p: not is_regular(p))
+
+
+def lose_the_vertex_group_isomorphism(monkeypatch):
+    import gpdcov.classify as classify
+    monkeypatch.setattr(classify, "find_isomorphism", lambda *args: None)
+
+
+NODE_CORRUPTIONS = [
+    (break_label_compatibility, "clause: label compatibility"),
+    (label_a_node_as_its_conjugate, "clause: bijection round trip"),
+    (miscount_the_fold, "clause: fold formula"),
+    (flip_regularity, "clause: regularity"),
+    (lose_the_vertex_group_isomorphism, "clause: quotient vertex group")]
+
+
+@pytest.mark.parametrize("corrupt, clause", NODE_CORRUPTIONS)
+def test_build_lattice_raises_each_node_clause(s3, monkeypatch, corrupt,
+                                               clause):
+    corrupt(monkeypatch)
+    with pytest.raises(TheoremViolation, match=clause):
+        build_lattice(s3, 0)
+
+
+@pytest.mark.parametrize("corrupt, clause", NODE_CORRUPTIONS)
+def test_cli_exits_3_on_each_node_clause(capsys, monkeypatch, corrupt,
                                          clause):
     corrupt(monkeypatch)
     assert main(["lattice", str(FIXTURES / "s3.json")]) == 3

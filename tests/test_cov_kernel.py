@@ -26,7 +26,7 @@ from gpdcov import (CovGroup, Covering, FiniteGroup, FiniteGroupoid,
 from gpdcov import covering as covering_module
 from gpdcov import transform as transform_module
 
-from test_classify import LATTICE_BASES, lattice_of
+from test_classify import LATTICE_BASES, lattice_of, orbit_of
 from test_index import CORPUS, codiscrete_times_group
 from test_lifts import (CONNECTED, _morphisms_into,
                         reference_lift_morphism, small_covers,
@@ -97,7 +97,7 @@ def test_matches_reference_on_lattice_nodes(name):
     """The node covering and the orbit covering of every lattice node."""
     for node in lattice_of(name).nodes:
         assert_same_cov(node.covering)
-        assert_same_cov(node.orbit.covering)
+        assert_same_cov(orbit_of(node).covering)
 
 
 UNIVERSAL_SHAPES = {

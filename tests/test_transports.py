@@ -12,10 +12,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from gpdcov import (covering_from_subgroup, covering_to_presheaf,
-                    exponential, fiber_transport,
-                    group_action_on_exponential, is_connected, monodromy,
-                    omega, pullback_covering, universal_cover, vertex_group)
+from gpdcov import (codiscrete_groupoid, covering_from_subgroup,
+                    covering_to_presheaf, exponential, fiber_transport,
+                    group_action_on_exponential, is_connected, lift_arrow,
+                    monodromy, omega, pullback_covering, universal_cover,
+                    vertex_group)
 from gpdcov import covering as covering_module
 from gpdcov.covering import transports
 from gpdcov.topos import presheaf_to_covering
@@ -171,4 +172,29 @@ def test_out_of_range_ids_are_refused(c4_univ, cov02):
             (len(ex.objects),
              lambda: group_action_on_exponential(ex, 0, len(ex.objects)))):
         with pytest.raises(ValueError, match=f"id {bad}$|element {bad}$"):
+            call()
+
+
+def test_lift_and_act_refuse_objects_as_lift_arrow_and_orbit_do(c4_univ):
+    """Covering.lift refuses an unknown object id as lift_arrow does (on
+    the C4 universal cover, u.lift(1, -1) read the lift into object 3), and
+    MonodromyAction.act refuses an object off the fiber as orbit does (it
+    raised a bare KeyError), each in the same ValueError."""
+    act = monodromy(c4_univ, 0)
+    for bad, calls in (
+            (-1, (lambda: c4_univ.lift(1, -1),
+                  lambda: lift_arrow(c4_univ, 1, -1))),
+            (4, (lambda: c4_univ.lift(1, 4),
+                 lambda: lift_arrow(c4_univ, 1, 4))),
+            (-1, (lambda: act.act(-1, 0), lambda: act.orbit(-1))),
+            (7, (lambda: act.act(7, 0), lambda: act.orbit(7)))):
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match=f"^unknown total object id {bad}$"):
+                call()
+    u = universal_cover(codiscrete_groupoid(2))
+    off, act = u.fibers[1][0], monodromy(u, 0)
+    for call in (lambda: act.act(off, 0), lambda: act.orbit(off)):
+        with pytest.raises(ValueError,
+                           match=f"^object {off} is not in the fiber$"):
             call()
